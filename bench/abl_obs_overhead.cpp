@@ -1,7 +1,7 @@
 // Ablation (beyond the paper): the price of always-on observability.
 //
 // PR 7 leaves the flight recorder recording on every serving hot path —
-// enqueue, batch formation, chunk pack/execute/drain, resolution — on
+// enqueue, batch formation, chunk execute/drain, resolution — on
 // the claim that one append costs tens of nanoseconds and therefore
 // disappears under real request work. This bench prices that claim with
 // a same-binary A/B on the abl_service width-32 fixed-load drain: one

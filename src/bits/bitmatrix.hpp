@@ -122,4 +122,29 @@ class CountMatrix {
   std::vector<std::uint32_t> data_;
 };
 
+/// Read-only strided view of a block of counts: element (r, c) is
+/// data[r * stride + c]. Lets a consumer read one chunk's block where it
+/// already lives inside a larger gamma matrix, without a copy. A
+/// CountMatrix converts implicitly (stride = cols).
+class CountView {
+ public:
+  CountView(const std::uint32_t* data, std::size_t rows, std::size_t cols,
+            std::size_t stride)
+      : data_(data), rows_(rows), cols_(cols), stride_(stride) {}
+  CountView(const CountMatrix& m)  // NOLINT(google-explicit-constructor)
+      : CountView(m.raw().data(), m.rows(), m.cols(), m.cols()) {}
+
+  [[nodiscard]] std::size_t rows() const { return rows_; }
+  [[nodiscard]] std::size_t cols() const { return cols_; }
+  [[nodiscard]] std::uint32_t at(std::size_t r, std::size_t c) const {
+    return data_[r * stride_ + c];
+  }
+
+ private:
+  const std::uint32_t* data_;
+  std::size_t rows_;
+  std::size_t cols_;
+  std::size_t stride_;
+};
+
 }  // namespace snp::bits

@@ -1,7 +1,6 @@
 #include "cl/clmini.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "rt/fault.hpp"
@@ -66,9 +65,8 @@ CommandQueue::CommandQueue(Context& ctx) : ctx_(ctx) {
   host_now_ = 0.0;
 }
 
-Event CommandQueue::enqueue_write(Buffer& dst,
-                                  std::span<const std::byte> src) {
-  if (src.size() > dst.size()) {
+Event CommandQueue::enqueue_write(Buffer& dst, std::size_t bytes) {
+  if (bytes > dst.size()) {
     throw std::out_of_range("enqueue_write: source larger than buffer");
   }
   // All injection sites sit before the first clock/buffer mutation: a
@@ -81,17 +79,15 @@ Event CommandQueue::enqueue_write(Buffer& dst,
   ev.submitted = std::max(h2d_free_, ev.queued);
   ev.start = std::max({ev.submitted, dst.ready_at_, dst.last_read_at_}) +
              sim::pcie_latency_seconds();
-  ev.end = ev.start + sim::pcie_seconds(ctx_.device().spec(), src.size());
+  ev.end = ev.start + sim::pcie_seconds(ctx_.device().spec(), bytes);
   h2d_free_ = ev.end;
   dst.ready_at_ = ev.end;
   last_end_ = std::max(last_end_, ev.end);
-  std::memcpy(dst.data_.data(), src.data(), src.size());
   return ev;
 }
 
-Event CommandQueue::enqueue_read(const Buffer& src,
-                                 std::span<std::byte> dst) {
-  if (dst.size() > src.size()) {
+Event CommandQueue::enqueue_read(const Buffer& src, std::size_t bytes) {
+  if (bytes > src.size()) {
     throw std::out_of_range("enqueue_read: destination larger than buffer");
   }
   rt::maybe_inject(rt::FaultSite::kReadback);
@@ -100,20 +96,18 @@ Event CommandQueue::enqueue_read(const Buffer& src,
   ev.submitted = std::max(d2h_free_, ev.queued);
   ev.start = std::max(ev.submitted, src.ready_at_) +
              sim::pcie_latency_seconds();
-  ev.end = ev.start + sim::pcie_seconds(ctx_.device().spec(), dst.size());
+  ev.end = ev.start + sim::pcie_seconds(ctx_.device().spec(), bytes);
   d2h_free_ = ev.end;
   // Reading marks the buffer busy until the copy completes.
   const_cast<Buffer&>(src).last_read_at_ =
       std::max(src.last_read_at_, ev.end);
   last_end_ = std::max(last_end_, ev.end);
-  std::memcpy(dst.data(), src.data_.data(), dst.size());
   return ev;
 }
 
 Event CommandQueue::enqueue_kernel(double simulated_seconds,
                                    std::span<Buffer* const> reads,
-                                   std::span<Buffer* const> writes,
-                                   const std::function<void()>& functional) {
+                                   std::span<Buffer* const> writes) {
   if (simulated_seconds < 0.0) {
     throw std::invalid_argument("enqueue_kernel: negative duration");
   }
@@ -138,9 +132,6 @@ Event CommandQueue::enqueue_kernel(double simulated_seconds,
     b->ready_at_ = ev.end;
   }
   last_end_ = std::max(last_end_, ev.end);
-  if (functional) {
-    functional();
-  }
   return ev;
 }
 

@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -67,32 +66,22 @@ struct Event {
 
 class Context;
 
-/// A device buffer with a host-visible backing store (we are simulating;
-/// the backing store is what "device memory" resolves to functionally).
+/// A device buffer: a size and the virtual-clock hazard timestamps that
+/// order the copy and compute engines around it. It stores no bytes —
+/// functional results are computed from the host operands in place, so
+/// nothing would ever read them.
 class Buffer {
  public:
   Buffer() = default;
 
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-  [[nodiscard]] std::span<std::byte> bytes() { return data_; }
-  [[nodiscard]] std::span<const std::byte> bytes() const { return data_; }
-
-  template <typename T>
-  [[nodiscard]] std::span<T> as() {
-    return {reinterpret_cast<T*>(data_.data()), data_.size() / sizeof(T)};
-  }
-  template <typename T>
-  [[nodiscard]] std::span<const T> as() const {
-    return {reinterpret_cast<const T*>(data_.data()),
-            data_.size() / sizeof(T)};
-  }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
   friend class Context;
   friend class CommandQueue;
-  explicit Buffer(std::size_t bytes) : data_(bytes) {}
+  explicit Buffer(std::size_t bytes) : size_(bytes) {}
 
-  std::vector<std::byte> data_;
+  std::size_t size_ = 0;
   double ready_at_ = 0.0;      ///< end of the last operation writing it
   double last_read_at_ = 0.0;  ///< end of the last operation reading it
 };
@@ -130,27 +119,24 @@ class Context {
   std::unique_ptr<CommandQueue> queue_;
 };
 
-/// In-order queue with profiling enabled. All operations complete
-/// immediately in host (functional) terms; timestamps advance on the
-/// device's virtual clock.
+/// In-order queue with profiling enabled. Commands only advance the
+/// device's virtual clock; they move no host data.
 class CommandQueue {
  public:
   explicit CommandQueue(Context& ctx);
 
-  /// Host -> device bulk copy (clEnqueueWriteBuffer).
-  Event enqueue_write(Buffer& dst, std::span<const std::byte> src);
+  /// Host -> device copy of `bytes` (clEnqueueWriteBuffer).
+  Event enqueue_write(Buffer& dst, std::size_t bytes);
 
-  /// Device -> host bulk copy (clEnqueueReadBuffer).
-  Event enqueue_read(const Buffer& src, std::span<std::byte> dst);
+  /// Device -> host copy of `bytes` (clEnqueueReadBuffer).
+  Event enqueue_read(const Buffer& src, std::size_t bytes);
 
   /// Kernel launch: `simulated_seconds` of device compute, with the given
-  /// buffer dependencies; `functional` runs immediately on the host to
-  /// produce the architectural result. Buffers written become ready at the
-  /// kernel's end timestamp.
+  /// buffer dependencies. Buffers written become ready at the kernel's
+  /// end timestamp.
   Event enqueue_kernel(double simulated_seconds,
                        std::span<Buffer* const> reads,
-                       std::span<Buffer* const> writes,
-                       const std::function<void()>& functional = {});
+                       std::span<Buffer* const> writes);
 
   /// Blocks (virtually) until all enqueued work completes; returns the
   /// completion timestamp.

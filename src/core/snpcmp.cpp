@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -10,9 +9,7 @@
 
 #include "analyze/analyzer.hpp"
 #include "cpu/engine.hpp"
-#include "exec/task_graph.hpp"
 #include "exec/thread_pool.hpp"
-#include "kern/gpu_kernel.hpp"
 #include "model/peak.hpp"
 #include "obs/obs.hpp"
 #include "rt/fault.hpp"
@@ -166,6 +163,42 @@ ChunkPlan plan_chunks(const model::GpuSpec& dev,
                     "compare: device memory cannot hold one chunk");
   }
   return p;
+}
+
+/// One row window [row0, row0 + rows) of the streamed operand against the
+/// whole resident operand, and where its counts land: in place in gamma
+/// at the window's offset (row stride = gamma's columns), or in a block
+/// of its own when the caller keeps no gamma. The chunk loop and the
+/// degrade rung both place counts through this one rule.
+struct CountWindow {
+  cpu::RowBlock a;
+  cpu::RowBlock b;
+  std::uint32_t* in_gamma = nullptr;
+  std::size_t ldc = 0;
+  std::vector<std::uint32_t> owned;
+
+  [[nodiscard]] std::uint32_t* data() {
+    return in_gamma != nullptr ? in_gamma : owned.data();
+  }
+  [[nodiscard]] bits::CountView view() {
+    return {data(), a.rows, b.rows, ldc};
+  }
+};
+
+CountWindow count_window(const BitMatrix& a, const BitMatrix& b,
+                         bool stream_b, std::size_t row0, std::size_t rows,
+                         CountMatrix* gamma) {
+  CountWindow w;
+  w.a = stream_b ? cpu::all_rows(a) : cpu::RowBlock{&a, row0, rows};
+  w.b = stream_b ? cpu::RowBlock{&b, row0, rows} : cpu::all_rows(b);
+  if (gamma != nullptr) {
+    w.ldc = gamma->cols();
+    w.in_gamma = gamma->raw().data() + (stream_b ? row0 : row0 * w.ldc);
+  } else {
+    w.ldc = w.b.rows;
+    w.owned.resize(w.a.rows * w.b.rows);
+  }
+  return w;
 }
 
 }  // namespace
@@ -342,54 +375,35 @@ CompareResult Context::compare(const BitMatrix& a, const BitMatrix& b,
       ev.trace_id = obs::current_trace().trace_id;
       fault_log.record(std::move(ev));
     }
-    // GPU->CPU graceful degradation: the in-order drain chain guarantees
-    // the delivered rows form an exact prefix of the streamed operand, so
+    // GPU->CPU graceful degradation: in-order delivery guarantees the
+    // delivered rows form an exact prefix of the streamed operand, so
     // the host engine recomputes only the remainder — streaming consumers
     // see each chunk exactly once, and the merged counts are bit-identical
-    // to a clean run (the functional kernels and the host engine agree
-    // bit-for-bit by the conformance suite).
+    // to a clean run (both rungs compute with the same CPU engine).
     const std::string gpu_name = gpu_->name();
     const auto wall0 = std::chrono::steady_clock::now();
     if (options.functional) {
       const bool sb = progress.stream_b;
       const std::size_t total_rows = sb ? b.rows() : a.rows();
       const std::size_t delivered =
-          std::min(progress.delivered_rows.load(), total_rows);
+          std::min(progress.delivered_rows, total_rows);
       if (delivered < total_rows) {
-        const BitMatrix remainder = sb ? b.row_slice(delivered, total_rows)
-                                       : a.row_slice(delivered, total_rows);
-        const BitMatrix& cpu_a = sb ? a : remainder;
-        const BitMatrix& cpu_b = sb ? remainder : b;
-        CountMatrix part;
-        if (options.threads > 0) {
-          exec::ThreadPool pool(options.threads);
-          part = cpu::compare_blocked_async(cpu_a, cpu_b, op, pool);
-        } else {
-          part = cpu::compare_blocked(cpu_a, cpu_b, op);
+        if (options.keep_counts && (result.counts.rows() != a.rows() ||
+                                    result.counts.cols() != b.rows())) {
+          result.counts = CountMatrix(a.rows(), b.rows());
         }
+        CountWindow w =
+            count_window(a, b, sb, delivered, total_rows - delivered,
+                         options.keep_counts ? &result.counts : nullptr);
+        cpu::compare_blocked_into(w.a, w.b, op, w.data(), w.ldc);
         // The host rung really popcounts the remainder; the cost ledger
         // should see that work even though no device kernel ran it.
         result.timing.wordops +=
-            static_cast<std::uint64_t>(cpu_a.rows()) * cpu_b.rows() *
+            static_cast<std::uint64_t>(w.a.rows) * w.b.rows *
             bits::ceil_div(a.bit_cols(), bits::kBitsPerWord32);
         if (options.chunk_callback) {
           options.chunk_callback(
-              ComputeOptions::ChunkView{delivered, sb, part});
-        }
-        if (options.keep_counts) {
-          if (result.counts.rows() != a.rows() ||
-              result.counts.cols() != b.rows()) {
-            result.counts = CountMatrix(a.rows(), b.rows());
-          }
-          for (std::size_t i = 0; i < part.rows(); ++i) {
-            for (std::size_t j = 0; j < part.cols(); ++j) {
-              if (sb) {
-                result.counts.at(i, delivered + j) = part.at(i, j);
-              } else {
-                result.counts.at(delivered + i, j) = part.at(i, j);
-              }
-            }
-          }
+              ComputeOptions::ChunkView{delivered, sb, w.view()});
         }
       }
     }
@@ -475,40 +489,30 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
   }
   const rt::RecoveryOptions rec = options.recovery;
   const model::GpuSpec& dev = gpu_->spec();
-  model::KernelConfig cfg = effective_config(a, b, op, options);
+  const model::KernelConfig cfg = effective_config(a, b, op, options);
   const auto check = model::validate(cfg, dev);
   if (!check.ok) {
     throw std::invalid_argument("compare: invalid kernel config: " +
                                 check.reason);
   }
 
-  // Eq. 3 lowering happens on the host before upload: the negated operand
-  // is what the database would store.
-  const BitMatrix* b_ptr = &b;
-  BitMatrix b_negated;
-  if (cfg.pre_negated) {
-    b_negated = b.negated();
-    b_ptr = &b_negated;
-  }
-  const BitMatrix& b_eff = *b_ptr;
-
   // Stream the larger operand through device memory in chunks; the other
   // stays resident. Row strides of both operands match (same K), so the
-  // plan's per-row bytes use the streamed operand's stride.
+  // plan's per-row bytes use the streamed operand's stride. The device
+  // would store a pre-negated AND-NOT operand (Eq. 3), which has the same
+  // shape: cfg.pre_negated prices the kernel, while the counts come from
+  // the fused AND-NOT on the original operand.
   const std::size_t k_words =
       bits::ceil_div(a.bit_cols(), bits::kBitsPerWord32);
-  const bool stream_b_pred = b_eff.rows() >= a.rows();
-  const BitMatrix& streamed_ref = stream_b_pred ? b_eff : a;
+  const BitMatrix& streamed_ref = b.rows() >= a.rows() ? b : a;
   const ChunkPlan plan =
-      plan_chunks(dev, cfg, a.rows(), b_eff.rows(),
+      plan_chunks(dev, cfg, a.rows(), b.rows(),
                   streamed_ref.words64_per_row() * 8, options.chunk_rows);
   const bool stream_b = plan.stream_b;
   progress->stream_b = stream_b;
-  const BitMatrix& resident = stream_b ? a : b_eff;
-  const BitMatrix& streamed = stream_b ? b_eff : a;
-  const std::size_t resident_bytes = resident.size_bytes();
-  const std::size_t stream_row_bytes = plan.stream_row_bytes;
-  const std::size_t c_row_bytes = plan.c_row_bytes;
+  const BitMatrix& resident = stream_b ? a : b;
+  const BitMatrix& streamed = stream_b ? b : a;
+  const std::size_t n = b.rows();
   const std::size_t chunk_rows = plan.chunk_rows;
 
   cl::Context clctx(*gpu_);
@@ -543,30 +547,23 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
     }
   }
   if (options.functional && options.keep_counts) {
-    result.counts = CountMatrix(a.rows(), b.rows());
+    result.counts = CountMatrix(a.rows(), n);
   }
-
-  const kern::GpuSnpKernel kernel(dev, cfg, op);
 
   // Every device operation below runs under the bounded-retry rung: the
   // clmini injection sites throw before any virtual-clock or accounting
   // mutation, so a retried call replays against bit-identical state and
   // recovered runs stay indistinguishable from clean ones.
   auto resident_buf = rt::with_retry(rec, "alloc", -1, fault_log, [&] {
-    return clctx.create_buffer(resident_bytes);
+    return clctx.create_buffer(resident.size_bytes());
   });
   {
-    const auto raw = resident.raw64();
     const cl::Event ev = rt::with_retry(rec, "h2d", -1, fault_log, [&] {
-      return q.enqueue_write(
-          *resident_buf,
-          std::span<const std::byte>(
-              reinterpret_cast<const std::byte*>(raw.data()),
-              raw.size_bytes()));
+      return q.enqueue_write(*resident_buf, resident.size_bytes());
     });
     result.timing.h2d_s += ev.duration();
-    result.timing.h2d_bytes += raw.size_bytes();
-    SNP_OBS_COUNT("core.h2d.bytes", raw.size_bytes());
+    result.timing.h2d_bytes += resident.size_bytes();
+    SNP_OBS_COUNT("core.h2d.bytes", resident.size_bytes());
   }
 
   const int inflight = options.double_buffer ? 2 : 1;
@@ -574,10 +571,10 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
   std::vector<std::shared_ptr<cl::Buffer>> c_bufs;
   for (int i = 0; i < inflight; ++i) {
     stream_bufs.push_back(rt::with_retry(rec, "alloc", i, fault_log, [&] {
-      return clctx.create_buffer(chunk_rows * stream_row_bytes);
+      return clctx.create_buffer(chunk_rows * plan.stream_row_bytes);
     }));
     c_bufs.push_back(rt::with_retry(rec, "alloc", i, fault_log, [&] {
-      return clctx.create_buffer(chunk_rows * c_row_bytes);
+      return clctx.create_buffer(chunk_rows * plan.c_row_bytes);
     }));
   }
 
@@ -592,62 +589,22 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
       bits::ceil_div(streamed.rows(), chunk_rows);
   result.timing.chunk_events.resize(n_chunks);
 
-  // Asynchronous host pipeline (options.threads > 0, functional runs
-  // only): per chunk, a pack task slices the streamed operand, an execute
-  // task (depending on the pack) runs the functional kernel, and a drain
-  // task (depending on the execute AND the previous drain) delivers the
-  // chunk callback and scatters the block into the gamma matrix. The
-  // drain chain makes delivery order and the reduction deterministic and
-  // identical to the serial path for every thread count; the semaphore
-  // bounds chunks in flight so host memory stays bounded at paper scale.
-  // The virtual-clock command enqueues below stay on the calling thread
-  // in both modes — simulated timing is independent of host threading.
-  const bool async = options.threads > 0 && options.functional;
-  std::unique_ptr<exec::ThreadPool> pool;
-  std::unique_ptr<exec::TaskGraph> graph;
-  std::unique_ptr<exec::Semaphore> slots;
-  exec::TaskGraph::TaskId prev_drain = 0;
+  // Host side of a functional run: per chunk, the execute stage computes
+  // the chunk with the CPU engine (itself parallel) straight into its
+  // place in gamma, and the drain stage hands it to chunk_callback, both
+  // on the calling thread, so chunks are delivered in stream order. The
+  // virtual-clock command enqueues below are independent of host timing.
   const auto wall0 = std::chrono::steady_clock::now();
   const auto host_now = [wall0] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          wall0)
         .count();
   };
-  if (async) {
-    pool = std::make_unique<exec::ThreadPool>(options.threads);
-    graph = std::make_unique<exec::TaskGraph>(*pool);
-    slots = std::make_unique<exec::Semaphore>(
-        options.max_inflight_chunks > 0 ? options.max_inflight_chunks
-                                        : 2 * options.threads);
-  }
-  // If an enqueue fault exhausts its retries mid-loop, the unwind must
-  // not destroy chunk-task captures while pool workers still run them:
-  // this guard quiesces the graph first (swallowing its own error — the
-  // original exception is the one that propagates). Declared after the
-  // graph so it is destroyed before it.
-  struct GraphQuiesce {
-    exec::TaskGraph* graph = nullptr;
-    ~GraphQuiesce() {
-      if (graph != nullptr) {
-        try {
-          graph->wait();
-        } catch (...) {  // NOLINT(bugprone-empty-catch)
-        }
-      }
-    }
-  } quiesce{graph.get()};
 
-  struct ChunkState {
-    BitMatrix chunk;    ///< packed slice of the streamed operand
-    CountMatrix part;   ///< this chunk's block of the gamma matrix
-  };
-
-  std::vector<std::byte> readback;
   for (std::size_t ci = 0; ci < n_chunks; ++ci) {
     // Cooperative cancellation boundary: a fired token (explicit cancel
     // or expired request deadline) stops the pipeline here, before this
     // chunk's upload/launch, instead of running the stream to the end.
-    // GraphQuiesce below settles any in-flight async chunks on unwind.
     if (options.cancel != nullptr) {
       options.cancel->checkpoint(static_cast<std::int64_t>(ci));
     }
@@ -663,34 +620,22 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
     cev.row0 = row0;
     cev.rows = rows;
 
-    // Upload this chunk of the streamed operand. Chunk rows are contiguous
-    // in the parent matrix, so the upload reads the parent's storage
-    // directly; the functional pack task makes its own slice.
-    {
-      const auto raw = streamed.raw64().subspan(
-          row0 * streamed.words64_per_row(),
-          rows * streamed.words64_per_row());
-      const cl::Event ev = rt::with_retry(
-          rec, "h2d", static_cast<std::int64_t>(ci), fault_log, [&] {
-            return q.enqueue_write(
-                *stream_bufs[slot],
-                std::span<const std::byte>(
-                    reinterpret_cast<const std::byte*>(raw.data()),
-                    raw.size_bytes()));
-          });
-      result.timing.h2d_s += ev.duration();
-      result.timing.h2d_bytes += raw.size_bytes();
-      SNP_OBS_COUNT("core.compare.chunks", 1);
-      SNP_OBS_COUNT("core.h2d.bytes", raw.size_bytes());
-      cev.h2d_start = ev.start;
-      cev.h2d_end = ev.end;
-    }
+    const std::size_t stream_bytes = rows * plan.stream_row_bytes;
+    const cl::Event evw = rt::with_retry(
+        rec, "h2d", static_cast<std::int64_t>(ci), fault_log,
+        [&] { return q.enqueue_write(*stream_bufs[slot], stream_bytes); });
+    result.timing.h2d_s += evw.duration();
+    result.timing.h2d_bytes += stream_bytes;
+    SNP_OBS_COUNT("core.compare.chunks", 1);
+    SNP_OBS_COUNT("core.h2d.bytes", stream_bytes);
+    cev.h2d_start = evw.start;
+    cev.h2d_end = evw.end;
 
-    // Kernel: timing from the analytical model, results (when functional)
-    // from the identical tiling.
+    // Kernel: time from the analytical model, counts from the CPU engine.
     const sim::KernelShape shape{stream_b ? a.rows() : rows,
-                                 stream_b ? rows : b_eff.rows(), k_words};
-    const sim::KernelTiming kt = kernel.timing(shape);
+                                 stream_b ? rows : n, k_words};
+    const sim::KernelTiming kt =
+        sim::estimate_kernel(dev, cfg, op, shape, cfg.pre_negated);
     const sim::RooflinePoint rp =
         sim::roofline_for(dev, cfg, op, shape, cfg.pre_negated);
     SNP_OBS_COUNT("core.kernel.wordops",
@@ -699,142 +644,52 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
                       static_cast<double>(shape.k_words));
     result.timing.wordops +=
         static_cast<std::uint64_t>(shape.m) * shape.n * shape.k_words;
+    if (options.functional) {
+      cev.host_queued = host_now();
+      CountWindow w =
+          count_window(a, b, stream_b, row0, rows,
+                       options.keep_counts ? &result.counts : nullptr);
+      // Each stage samples the `pool` injection site inside its own retry
+      // scope: a transient fault re-runs the stage body alone. The engine
+      // overwrites its block and the virtual clock only moves in the
+      // enqueue calls, so a retried body is idempotent and recovery
+      // cannot perturb simulated timing.
+      const auto ci_ix = static_cast<std::int64_t>(ci);
+      cev.host_exec_start = host_now();
+      rt::with_retry(rec, "pool.execute", ci_ix, fault_log, [&] {
+        rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
+        SNP_OBS_SPAN("core.chunk.execute");
+        cpu::compare_blocked_into(w.a, w.b, op, w.data(), w.ldc);
+      });
+      SNP_OBS_FLIGHT(obs::FlightKind::kChunkExec,
+                     obs::current_trace().trace_id, 0, ci_ix, rows);
+      cev.host_exec_end = host_now();
+
+      // The drain checkpoints the cancel token too, so a run whose
+      // deadline fired during this chunk's execute stops before delivery.
+      if (options.cancel != nullptr) options.cancel->checkpoint(ci_ix);
+      cev.host_drain_start = host_now();
+      rt::with_retry(rec, "pool.drain", ci_ix, fault_log, [&] {
+        rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
+        SNP_OBS_SPAN("core.chunk.drain");
+        if (options.chunk_callback) {
+          options.chunk_callback(
+              ComputeOptions::ChunkView{row0, stream_b, w.view()});
+        }
+      });
+      SNP_OBS_FLIGHT(obs::FlightKind::kChunkDrain,
+                     obs::current_trace().trace_id, 0, ci_ix, rows);
+      // Only after a fully delivered chunk does the delivered prefix
+      // grow — the degradation rung trusts this to never redeliver or
+      // skip rows.
+      progress->delivered_rows = row0 + rows;
+      cev.host_drain_end = host_now();
+    }
     cl::Buffer* reads[] = {resident_buf.get(), stream_bufs[slot].get()};
     cl::Buffer* writes[] = {c_bufs[slot].get()};
-    std::function<void()> functional;
-    if (options.functional) {
-      CountMatrix* counts =
-          options.keep_counts ? &result.counts : nullptr;
-      const BitMatrix* streamed_ptr = &streamed;
-      const BitMatrix* resident_ptr = stream_b ? &a : &b_eff;
-      const std::size_t off = row0;
-      const bool sb = stream_b;
-      const kern::GpuSnpKernel* kptr = &kernel;
-      const auto* callback =
-          options.chunk_callback ? &options.chunk_callback : nullptr;
-      auto state = std::make_shared<ChunkState>();
-      // The pipeline bodies sample the `pool` injection site inside their
-      // own retry scope: a transient task fault re-runs the body alone —
-      // the virtual clock only moves in the enqueue calls on the calling
-      // thread, so recovery cannot perturb simulated timing. The
-      // injection check precedes any work, so a retried body is
-      // idempotent by construction.
-      const auto ci_ix = static_cast<std::int64_t>(ci);
-      // Pool tasks honor the cancel token too: each stage checkpoints
-      // before doing work, so a batch whose deadline fired mid-pipeline
-      // stops at the next task boundary even when the stages run on
-      // exec::ThreadPool workers rather than the calling thread.
-      const std::shared_ptr<rt::CancelToken> cancel = options.cancel;
-      auto pack = [state, streamed_ptr, off, rows, rec, fault_log, cancel,
-                   ci_ix]() {
-        if (cancel != nullptr) cancel->checkpoint(ci_ix);
-        rt::with_retry(rec, "pool.pack", ci_ix, fault_log, [&] {
-          rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
-          SNP_OBS_SPAN("core.chunk.pack");
-          state->chunk = streamed_ptr->row_slice(off, off + rows);
-        });
-        SNP_OBS_FLIGHT(obs::FlightKind::kChunkPack,
-                       obs::current_trace().trace_id, 0, ci_ix, rows);
-      };
-      auto execute = [state, resident_ptr, sb, kptr, rec, fault_log,
-                      cancel, ci_ix]() {
-        if (cancel != nullptr) cancel->checkpoint(ci_ix);
-        rt::with_retry(rec, "pool.execute", ci_ix, fault_log, [&] {
-          rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
-          SNP_OBS_SPAN("core.chunk.execute");
-          const BitMatrix* ap = sb ? resident_ptr : &state->chunk;
-          const BitMatrix* bp = sb ? &state->chunk : resident_ptr;
-          state->part = CountMatrix(ap->rows(), bp->rows());
-          kptr->execute(*ap, *bp, state->part);
-        });
-        SNP_OBS_FLIGHT(obs::FlightKind::kChunkExec,
-                       obs::current_trace().trace_id, 0, ci_ix,
-                       state->part.rows());
-      };
-      auto drain = [state, counts, off, sb, callback, rec, fault_log,
-                    cancel, ci_ix, rows, progress]() {
-        if (cancel != nullptr) cancel->checkpoint(ci_ix);
-        rt::with_retry(rec, "pool.drain", ci_ix, fault_log, [&] {
-          rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
-          SNP_OBS_SPAN("core.chunk.drain");
-          const CountMatrix& part = state->part;
-          if (callback != nullptr) {
-            (*callback)(ComputeOptions::ChunkView{off, sb, part});
-          }
-          if (counts != nullptr) {
-            // Scatter the chunk block into the full gamma matrix.
-            for (std::size_t i = 0; i < part.rows(); ++i) {
-              for (std::size_t j = 0; j < part.cols(); ++j) {
-                if (sb) {
-                  counts->at(i, off + j) = part.at(i, j);
-                } else {
-                  counts->at(off + i, j) = part.at(i, j);
-                }
-              }
-            }
-          }
-        });
-        SNP_OBS_FLIGHT(obs::FlightKind::kChunkDrain,
-                       obs::current_trace().trace_id, 0, ci_ix, rows);
-        // Only after a fully delivered chunk (callback ran, block
-        // scattered) does the delivered prefix grow — the degradation
-        // rung trusts this to never redeliver or skip rows.
-        progress->delivered_rows.store(off + rows);
-      };
-      if (async) {
-        // Bounded in-flight backpressure, failure-aware: a failed chunk
-        // task skips every later drain, so the slot releases pending on
-        // them never come — poll instead of deadlocking, and let
-        // graph->wait() below rethrow the task's exception.
-        bool got_slot = false;
-        while (!(got_slot =
-                     slots->acquire_for(std::chrono::milliseconds(20)))) {
-          if (graph->failed()) {
-            break;
-          }
-        }
-        if (!got_slot) {
-          break;
-        }
-        sim::HostChunkEvent* evp = &cev;
-        evp->host_queued = host_now();
-        const auto pack_id = graph->add([pack, evp, host_now]() {
-          evp->host_pack_start = host_now();
-          pack();
-          evp->host_pack_end = host_now();
-        });
-        const auto exec_id = graph->add(
-            [execute, evp, host_now]() {
-              evp->host_exec_start = host_now();
-              execute();
-              evp->host_exec_end = host_now();
-            },
-            {pack_id});
-        std::vector<exec::TaskGraph::TaskId> drain_deps{exec_id};
-        if (ci > 0) {
-          drain_deps.push_back(prev_drain);
-        }
-        exec::Semaphore* slots_ptr = slots.get();
-        prev_drain = graph->add(
-            [drain, evp, host_now, slots_ptr]() {
-              evp->host_drain_start = host_now();
-              drain();
-              evp->host_drain_end = host_now();
-              slots_ptr->release();
-            },
-            drain_deps);
-      } else {
-        functional = [pack, execute, drain]() {
-          pack();
-          execute();
-          drain();
-        };
-      }
-    }
     const cl::Event evk = rt::with_retry(
-        rec, "launch", static_cast<std::int64_t>(ci), fault_log, [&] {
-          return q.enqueue_kernel(kt.seconds, reads, writes, functional);
-        });
+        rec, "launch", static_cast<std::int64_t>(ci), fault_log,
+        [&] { return q.enqueue_kernel(kt.seconds, reads, writes); });
     total_kernel_s += evk.duration();
     kernel_gops_weighted += kt.gops * kt.seconds;
     pct_weighted += kt.pct_of_peak * kt.seconds;
@@ -847,21 +702,15 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
     cev.kernel_end = evk.end;
 
     // Read the C chunk back.
-    readback.resize(rows * c_row_bytes);
+    const std::size_t c_bytes = rows * plan.c_row_bytes;
     const cl::Event evr = rt::with_retry(
-        rec, "readback", static_cast<std::int64_t>(ci), fault_log, [&] {
-          return q.enqueue_read(
-              *c_bufs[slot],
-              std::span<std::byte>(readback.data(), readback.size()));
-        });
+        rec, "readback", static_cast<std::int64_t>(ci), fault_log,
+        [&] { return q.enqueue_read(*c_bufs[slot], c_bytes); });
     result.timing.d2h_s += evr.duration();
-    result.timing.d2h_bytes += readback.size();
-    SNP_OBS_COUNT("core.d2h.bytes", readback.size());
+    result.timing.d2h_bytes += c_bytes;
+    SNP_OBS_COUNT("core.d2h.bytes", c_bytes);
     cev.d2h_start = evr.start;
     cev.d2h_end = evr.end;
-  }
-  if (async) {
-    graph->wait();  // rethrows the first chunk-task exception, if any
   }
 
   const double end = q.finish();
@@ -869,8 +718,7 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
   result.timing.end_to_end_s =
       end - (options.include_init ? 0.0 : clctx.init_seconds());
   result.timing.kernel_s = total_kernel_s;
-  result.timing.chunks = static_cast<int>(
-      bits::ceil_div(streamed.rows(), chunk_rows));
+  result.timing.chunks = static_cast<int>(n_chunks);
   result.timing.active_cores = active_cores;
   if (total_kernel_s > 0.0) {
     result.timing.kernel_gops = kernel_gops_weighted / total_kernel_s;
@@ -892,6 +740,11 @@ CompareResult Context::ld(const BitMatrix& loci,
 IdentitySearchResult Context::identity_search(
     const BitMatrix& queries, const BitMatrix& database,
     const ComputeOptions& options) {
+  if (options.functional && !options.keep_counts) {
+    throw std::invalid_argument(
+        "identity_search: keep_counts=false leaves no gamma matrix to rank; "
+        "use identity_search_streaming");
+  }
   IdentitySearchResult out;
   out.comparison = compare(queries, database, Comparison::kXor, options);
   if (options.functional) {
@@ -941,9 +794,9 @@ Context::StreamingSearchResult Context::identity_search_streaming(
       best.resize(top_k);
     }
   };
-  // Async compare() delivers chunks from a serialized in-order drain
-  // chain, so callbacks never overlap — the mutex makes the fold's
-  // thread-safety independent of that scheduling detail.
+  // compare() delivers chunks one at a time, in stream order, so
+  // callbacks never overlap — the mutex makes the fold's thread-safety
+  // independent of that scheduling detail.
   std::mutex fold_mu;
   opts.chunk_callback = [&](const ComputeOptions::ChunkView& view) {
     const std::lock_guard<std::mutex> lock(fold_mu);
@@ -983,10 +836,10 @@ Context::GenotypeLdResult Context::genotype_ld(
   if (genotypes.loci() == 0 || genotypes.samples() == 0) {
     throw std::invalid_argument("genotype_ld: empty cohort");
   }
-  if (!options.functional) {
+  if (!options.functional || !options.keep_counts) {
     throw std::invalid_argument(
-        "genotype_ld: requires functional execution (the EM step consumes "
-        "real counts)");
+        "genotype_ld: requires functional execution with keep_counts (the "
+        "EM step consumes real counts)");
   }
   const BitMatrix pres =
       bits::encode(genotypes, bits::EncodingPlane::kPresence);
@@ -1038,6 +891,11 @@ Context::GenotypeLdResult Context::genotype_ld(
 MixtureAnalysisResult Context::mixture_analysis(
     const BitMatrix& profiles, const BitMatrix& mixtures,
     std::uint32_t tolerance, const ComputeOptions& options) {
+  if (options.functional && !options.keep_counts) {
+    throw std::invalid_argument(
+        "mixture_analysis: keep_counts=false leaves no gamma matrix to "
+        "scan; use mixture_analysis_streaming");
+  }
   MixtureAnalysisResult out;
   out.comparison =
       compare(profiles, mixtures, Comparison::kAndNot, options);
@@ -1065,7 +923,7 @@ Context::StreamingMixtureResult Context::mixture_analysis_streaming(
   opts.functional = true;
   opts.keep_counts = false;
   // See identity_search_streaming: deliveries are already serialized
-  // in order by the drain chain; the lock keeps the fold self-contained.
+  // in stream order; the lock keeps the fold self-contained.
   std::mutex fold_mu;
   opts.chunk_callback = [&](const ComputeOptions::ChunkView& view) {
     const std::lock_guard<std::mutex> lock(fold_mu);

@@ -13,7 +13,6 @@
 // simulated device's virtual clock.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -67,34 +66,33 @@ struct ComputeOptions {
   /// allocation before anything launches.
   int lds_words = 0;
 
-  /// Host worker threads for the asynchronous chunk pipeline. 0 (default)
-  /// keeps the fully serial legacy path. With threads >= 1, compare()
-  /// schedules pack -> kernel -> reduce per chunk on a thread pool
-  /// (double-buffered packing), and a dedicated drain task delivers chunk
-  /// results strictly in stream order. Results — counts, callback payloads
-  /// and delivery order, and the simulated timing — are bit-identical to
-  /// the serial path for every thread count; chunk_callback runs on a pool
-  /// thread instead of the calling thread.
+  /// CPU contexts: 0 (default) runs cpu::compare_blocked (OpenMP); N >= 1
+  /// runs cpu::compare_blocked_async on an N-thread exec pool. GPU
+  /// contexts ignore it: every functional GPU run computes each chunk
+  /// with the CPU engine (itself parallel) and delivers it to
+  /// chunk_callback on the calling thread, strictly in stream order.
+  /// Counts, callback payloads and order, and the simulated timing are
+  /// bit-identical for every value.
   std::size_t threads = 0;
-  /// Async path only: bound on chunks in flight (scheduled but not yet
-  /// drained); the producer blocks once the bound is reached, keeping host
-  /// memory proportional to the bound at paper scale. 0 = 2 x threads.
-  std::size_t max_inflight_chunks = 0;
 
   /// One finished chunk of the gamma matrix, delivered in stream order.
   /// `part` is the block of rows [row0, row0+part.rows()) when the A
   /// operand streams, or columns [row0, row0+part.cols()) when B streams.
+  /// It is a read-only view into the gamma matrix (or, with keep_counts =
+  /// false, into a per-chunk block), valid only during the callback.
   struct ChunkView {
     std::size_t row0 = 0;
     bool streamed_b = true;
-    const bits::CountMatrix& part;
+    bits::CountView part;
   };
   /// When set, compare() delivers each chunk's results here as soon as
   /// its (simulated) readback completes. Combine with keep_counts = false
   /// to process paper-scale outputs in bounded memory.
   std::function<void(const ChunkView&)> chunk_callback;
   /// Assemble the full gamma matrix in CompareResult::counts (disable for
-  /// streaming consumers; requires a chunk_callback or functional=false).
+  /// streaming consumers; requires a chunk_callback or functional=false,
+  /// and the domain wrappers that read gamma reject it — use their
+  /// *_streaming variants).
   bool keep_counts = true;
 
   /// estimate() only: when non-null, receives the simulated execution
@@ -165,8 +163,8 @@ struct TimingReport {
   int active_cores = 0;
   std::string device;
   std::string config;
-  /// Per-chunk simulated queue/start/end intervals plus, on the async
-  /// path, the real host wall-clock of each pack/execute/drain task —
+  /// Per-chunk simulated queue/start/end intervals plus the real host
+  /// wall-clock of each chunk's execute and drain stages —
   /// feed to sim::write_host_chrome_trace to visualize the measured host
   /// pipeline (functional compare() only; estimate() fills a
   /// sim::Timeline via ComputeOptions::timeline_out instead).
@@ -324,13 +322,13 @@ class Context {
                                           bits::Comparison op,
                                           const ComputeOptions& options);
 
-  /// How far the device pipeline got before failing: the in-order drain
-  /// chain makes `delivered_rows` an exact prefix of the streamed
-  /// operand, so the degradation rung recomputes only the remainder and
-  /// never redelivers a chunk to streaming consumers.
+  /// How far the device pipeline got before failing: in-order delivery
+  /// makes `delivered_rows` an exact prefix of the streamed operand, so
+  /// the degradation rung recomputes only the remainder and never
+  /// redelivers a chunk to streaming consumers.
   struct GpuProgress {
     bool stream_b = true;
-    std::atomic<std::size_t> delivered_rows{0};
+    std::size_t delivered_rows = 0;
   };
   /// Fills `out` in place (partial results survive a mid-run throw for
   /// the degradation rung to finish from).

@@ -57,12 +57,15 @@ void pack_b(const bits::BitMatrix& b, std::size_t col0, std::size_t cols,
 }
 
 /// The micro-kernel: an m_r x n_r register block accumulating
-/// popcount(op(a, b)) over a k_c-deep packed panel pair. `op` is a template
-/// parameter so the logical operation is branch-free in the inner loop —
-/// the same specialization trick the paper applies inside BLIS.
+/// popcount(op(a, b)) over a k_c-deep packed panel pair, then adding it
+/// into C (or storing it, when `overwrite` — the first k_c panel of an
+/// in-place block). `op` is a template parameter so the logical operation
+/// is branch-free in the inner loop — the same specialization trick the
+/// paper applies inside BLIS.
 template <Comparison op>
 void micro_kernel(const Word64* a_strip, const Word64* b_strip,
-                  std::size_t kw, std::uint32_t* c, std::size_t ldc) {
+                  std::size_t kw, std::uint32_t* c, std::size_t ldc,
+                  bool overwrite) {
   constexpr std::size_t m_r = CpuBlocking::m_r;
   constexpr std::size_t n_r = CpuBlocking::n_r;
   std::uint32_t acc[m_r][n_r] = {};
@@ -78,13 +81,13 @@ void micro_kernel(const Word64* a_strip, const Word64* b_strip,
   }
   for (std::size_t i = 0; i < m_r; ++i) {
     for (std::size_t j = 0; j < n_r; ++j) {
-      c[i * ldc + j] += acc[i][j];
+      c[i * ldc + j] = overwrite ? acc[i][j] : c[i * ldc + j] + acc[i][j];
     }
   }
 }
 
 using MicroKernelFn = void (*)(const Word64*, const Word64*, std::size_t,
-                               std::uint32_t*, std::size_t);
+                               std::uint32_t*, std::size_t, bool);
 
 MicroKernelFn select_kernel(Comparison op) {
   switch (op) {
@@ -105,7 +108,7 @@ void run_macro_tile(MicroKernelFn kernel, const Word64* a_packed,
                     const Word64* b_packed, std::size_t ic, std::size_t mc,
                     std::size_t jc, std::size_t nc, std::size_t kw,
                     std::size_t m, std::size_t n, std::uint32_t* cdata,
-                    std::size_t ldc) {
+                    std::size_t ldc, bool overwrite) {
   constexpr std::size_t m_r = CpuBlocking::m_r;
   constexpr std::size_t n_r = CpuBlocking::n_r;
   const std::size_t col_strips = bits::ceil_div(nc, n_r);
@@ -124,13 +127,13 @@ void run_macro_tile(MicroKernelFn kernel, const Word64* a_packed,
       const std::size_t cj = jc + js * n_r;
       const bool interior = ci + m_r <= m && cj + n_r <= n;
       if (interior) {
-        kernel(a_strip, b_strip, kw, cdata + ci * ldc + cj, ldc);
+        kernel(a_strip, b_strip, kw, cdata + ci * ldc + cj, ldc, overwrite);
       } else {
-        std::fill(edge, edge + m_r * n_r, 0u);
-        kernel(a_strip, b_strip, kw, edge, n_r);
+        kernel(a_strip, b_strip, kw, edge, n_r, /*overwrite=*/true);
         for (std::size_t i = 0; i < m_r && ci + i < m; ++i) {
           for (std::size_t j = 0; j < n_r && cj + j < n; ++j) {
-            cdata[(ci + i) * ldc + cj + j] += edge[i * n_r + j];
+            std::uint32_t& dst = cdata[(ci + i) * ldc + cj + j];
+            dst = overwrite ? edge[i * n_r + j] : dst + edge[i * n_r + j];
           }
         }
       }
@@ -143,9 +146,22 @@ void run_macro_tile(MicroKernelFn kernel, const Word64* a_packed,
 bits::CountMatrix compare_blocked(const bits::BitMatrix& a,
                                   const bits::BitMatrix& b, Comparison op,
                                   const CpuBlocking& blocking) {
-  if (a.bit_cols() != b.bit_cols()) {
+  bits::CountMatrix c(a.rows(), b.rows());
+  compare_blocked_into(all_rows(a), all_rows(b), op, c.raw().data(),
+                       c.cols(), blocking);
+  return c;
+}
+
+void compare_blocked_into(RowBlock a, RowBlock b, Comparison op,
+                          std::uint32_t* c, std::size_t ldc,
+                          const CpuBlocking& blocking) {
+  if (a.matrix->bit_cols() != b.matrix->bit_cols()) {
     throw std::invalid_argument(
         "compare_blocked: operands must share the K dimension");
+  }
+  if (a.rows > a.matrix->rows() - std::min(a.row0, a.matrix->rows()) ||
+      b.rows > b.matrix->rows() - std::min(b.row0, b.matrix->rows())) {
+    throw std::out_of_range("compare_blocked: row block outside operand");
   }
   if (!blocking.valid()) {
     throw std::invalid_argument("compare_blocked: invalid blocking");
@@ -153,41 +169,47 @@ bits::CountMatrix compare_blocked(const bits::BitMatrix& a,
   SNP_OBS_SPAN("cpu.compare_blocked");
   const MicroKernelFn kernel = select_kernel(op);
 
-  const std::size_t m = a.rows();
-  const std::size_t n = b.rows();
-  const std::size_t k_words = bits::ceil_div(a.bit_cols(),
-                                             bits::kBitsPerWord64);
-  bits::CountMatrix c(m, n);
-  if (m == 0 || n == 0 || k_words == 0) {
-    return c;
+  const std::size_t m = a.rows;
+  const std::size_t n = b.rows;
+  const std::size_t k_words =
+      bits::ceil_div(a.matrix->bit_cols(), bits::kBitsPerWord64);
+  if (m == 0 || n == 0) {
+    return;
   }
-  // Edge-safe C staging: micro-tiles on the fringe write here first.
-  const std::size_t ldc = n;
-  std::uint32_t* cdata = c.raw().data();
+  if (k_words == 0) {
+    for (std::size_t i = 0; i < m; ++i) {
+      std::fill_n(c + i * ldc, n, 0u);
+    }
+    return;
+  }
+  const std::size_t m_blocks = bits::ceil_div(m, blocking.m_c);
+  const std::size_t tiles = m_blocks * bits::ceil_div(n, blocking.n_c);
 
-  // Loop 5 (n_c) and loop 4 (k_c) around the macro-kernel.
-  for (std::size_t jc = 0; jc < n; jc += blocking.n_c) {
-    const std::size_t nc = std::min(blocking.n_c, n - jc);
-    for (std::size_t pc = 0; pc < k_words; pc += blocking.k_c) {
-      const std::size_t kw = std::min(blocking.k_c, k_words - pc);
-      std::vector<Word64> b_packed;
-      pack_b(b, jc, nc, pc, kw, b_packed);
-
-      // Loop 3 (m_c): parallel across A panels; each iteration owns a
-      // disjoint row block of C, so no synchronization is needed.
-#pragma omp parallel for schedule(dynamic) default(none) \
-    shared(a, b_packed, cdata, kernel) \
-    firstprivate(m, n, jc, nc, pc, kw, ldc, blocking)
-      for (std::size_t ic = 0; ic < m; ic += blocking.m_c) {
-        const std::size_t mc = std::min(blocking.m_c, m - ic);
-        std::vector<Word64> a_packed;
-        pack_a(a, ic, mc, pc, kw, a_packed);
+  // Loops 5 (n_c) and 3 (m_c) flattened into one parallel loop of
+  // macro-tiles, each owning a disjoint block of C; loop 4 (k_c) runs
+  // inside the tile, so no synchronization is needed. The first k_c
+  // panel stores into C and later ones add, so the block is overwritten
+  // without a separate zeroing pass.
+#pragma omp parallel default(none) shared(a, b, c, kernel) \
+    firstprivate(m, n, k_words, ldc, blocking, m_blocks, tiles)
+  {
+    std::vector<Word64> a_packed;
+    std::vector<Word64> b_packed;
+#pragma omp for schedule(dynamic)
+    for (std::size_t t = 0; t < tiles; ++t) {
+      const std::size_t ic = (t % m_blocks) * blocking.m_c;
+      const std::size_t jc = (t / m_blocks) * blocking.n_c;
+      const std::size_t mc = std::min(blocking.m_c, m - ic);
+      const std::size_t nc = std::min(blocking.n_c, n - jc);
+      for (std::size_t pc = 0; pc < k_words; pc += blocking.k_c) {
+        const std::size_t kw = std::min(blocking.k_c, k_words - pc);
+        pack_b(*b.matrix, b.row0 + jc, nc, pc, kw, b_packed);
+        pack_a(*a.matrix, a.row0 + ic, mc, pc, kw, a_packed);
         run_macro_tile(kernel, a_packed.data(), b_packed.data(), ic, mc,
-                       jc, nc, kw, m, n, cdata, ldc);
+                       jc, nc, kw, m, n, c, ldc, pc == 0);
       }
     }
   }
-  return c;
 }
 
 bits::CountMatrix compare_blocked_async(const bits::BitMatrix& a,
@@ -292,7 +314,8 @@ bits::CountMatrix compare_blocked_async(const bits::BitMatrix& a,
             [kernel, a_panel, b_panel, ic, mc, jc, nc, kw, m, n, cdata,
              ldc] {
               run_macro_tile(kernel, a_panel->data(), b_panel->data(), ic,
-                             mc, jc, nc, kw, m, n, cdata, ldc);
+                             mc, jc, nc, kw, m, n, cdata, ldc,
+                             /*overwrite=*/false);
             },
             deps);
         tile_started[tile] = true;

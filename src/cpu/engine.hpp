@@ -7,10 +7,12 @@
 // algorithm: the classic five-loop blocking (n_c -> k_c -> m_c -> n_r ->
 // m_r) with packed A/B panels and a register-blocked micro-kernel,
 // parallelized with OpenMP. It is both the paper's CPU baseline and the
-// ground-truth engine the simulated GPU kernels are verified against.
+// functional engine behind every simulated GPU context, whose time comes
+// from the simulator instead.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "bits/bitmatrix.hpp"
 #include "bits/compare.hpp"
@@ -41,6 +43,27 @@ struct CpuBlocking {
 [[nodiscard]] bits::CountMatrix compare_blocked(
     const bits::BitMatrix& a, const bits::BitMatrix& b, bits::Comparison op,
     const CpuBlocking& blocking = {});
+
+/// Rows [row0, row0 + rows) of an operand, read in place.
+struct RowBlock {
+  const bits::BitMatrix* matrix = nullptr;
+  std::size_t row0 = 0;
+  std::size_t rows = 0;
+};
+[[nodiscard]] inline RowBlock all_rows(const bits::BitMatrix& m) {
+  return {&m, 0, m.rows()};
+}
+
+/// The engine entry behind compare_blocked and every functional GPU
+/// chunk: reads the two row blocks directly (packing only into the
+/// per-thread BLIS panels) and overwrites the a.rows x b.rows block at
+/// `c` with row stride `ldc` (beta = 0), so a chunk lands at its offset
+/// inside a larger gamma matrix. One OpenMP region covers every
+/// (n_c block x m_c block) macro-tile; each tile runs its whole k_c
+/// chain, so counts are bit-identical for any thread count.
+void compare_blocked_into(RowBlock a, RowBlock b, bits::Comparison op,
+                          std::uint32_t* c, std::size_t ldc,
+                          const CpuBlocking& blocking = {});
 
 /// Asynchronous variant of compare_blocked: the same five-loop blocking
 /// expressed as a task graph on `pool` instead of OpenMP pragmas. A and B

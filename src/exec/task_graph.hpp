@@ -1,12 +1,11 @@
 // Dependency-ordered task execution over a ThreadPool.
 //
-// A TaskGraph is a dynamic DAG: tasks may be added while the graph runs
-// (the async compare() streams chunks into it under backpressure), each
-// task names the already-added tasks it depends on, and a task is handed
-// to the pool the moment its last dependency completes. This is how the
-// chunk pipeline expresses pack -> kernel -> reduce edges and how in-order
-// chunk delivery is enforced (drain task i depends on {kernel i, drain
-// i-1}), without any stage ever blocking a worker thread.
+// A TaskGraph is a dynamic DAG: tasks may be added while the graph runs,
+// each task names the already-added tasks it depends on, and a task is
+// handed to the pool the moment its last dependency completes. This is
+// how cpu::compare_blocked_async orders panel packing before the
+// macro-tiles that read it and keeps each tile's k_c chain serial,
+// without any stage ever blocking a worker thread.
 //
 // Failure semantics: the first exception thrown by any task is captured
 // and rethrown from wait(); tasks depending (transitively) on a failed

@@ -82,8 +82,8 @@ class Semaphore {
 
 /// Fixed-size worker pool over a FIFO queue. Destruction drains: every task
 /// posted before the destructor runs is executed before the workers join
-/// (shutdown never drops queued work — an async compare() that goes out of
-/// scope mid-stream still delivers every chunk).
+/// (shutdown never drops queued work — a task graph whose pool goes out
+/// of scope mid-run still runs every posted task).
 class ThreadPool {
  public:
   /// `threads == 0` runs every task inline on the posting thread.

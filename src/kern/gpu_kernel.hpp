@@ -9,10 +9,11 @@
 // with a model::KernelConfig — same four values (m_c, m_r, k_c, n_r) plus
 // the core grid.
 //
-// Execution here is functional (it produces the real counts, on 32-bit
-// words as on the GPU) with the identical tiling/traversal; the time the
-// simulated device takes comes from sim::estimate_kernel on the same
-// config, so results and timings always describe the same loop structure.
+// This class describes the kernel; it does not emulate it. Its counts come
+// from the CPU engine (cpu::compare_blocked_into, the same blocked
+// popcount-GEMM), its time from sim::estimate_kernel on this config, and
+// its loop structure is proven by the dataflow verifier over
+// kern::build_kernel_program and by CoreSim.
 #pragma once
 
 #include <optional>
@@ -40,15 +41,14 @@ class GpuSnpKernel {
   /// lowering (AND when the database is pre-negated).
   [[nodiscard]] bits::Comparison lowered_op() const;
 
-  /// Functional execution: accumulates gamma[i,j] += popc(op(A[i,:],
-  /// B[j,:])) into `c` with the GPU tiling (32-bit words, shared-memory
-  /// A tile, streamed B). `c` must be a.rows() x b.rows(); pass
-  /// `accumulate = false` to overwrite instead (beta = 0).
+  /// Functional result: gamma[i,j] = popc(lowered_op(A[i,:], B[j,:])),
+  /// computed by the CPU engine. `c` must be a.rows() x b.rows(); pass
+  /// `accumulate = true` to add into it instead of overwriting (beta = 1).
   void execute(const bits::BitMatrix& a, const bits::BitMatrix& b,
                bits::CountMatrix& c, bool accumulate = false) const;
 
   /// Largest K (in 32-bit words) a single A tile supports: k_c. Problems
-  /// deeper than this run multiple packed panels (handled by execute).
+  /// deeper than this run multiple packed panels on the device.
   [[nodiscard]] std::size_t max_panel_words() const {
     return static_cast<std::size_t>(cfg_.k_c);
   }

@@ -142,16 +142,13 @@ CompareResult host_compare_shard(const BitMatrix& a, const BitMatrix& b,
   const auto t0 = std::chrono::steady_clock::now();
   CompareResult r;
   if (opts.functional) {
-    const BitMatrix part = shard_b ? b.row_slice(s.begin, s.end)
-                                   : a.row_slice(s.begin, s.end);
-    const BitMatrix& ca = shard_b ? a : part;
-    const BitMatrix& cb = shard_b ? part : b;
-    if (opts.threads > 0) {
-      exec::ThreadPool pool(opts.threads);
-      r.counts = cpu::compare_blocked_async(ca, cb, op, pool);
-    } else {
-      r.counts = cpu::compare_blocked(ca, cb, op);
-    }
+    const std::size_t rows = s.end - s.begin;
+    const cpu::RowBlock ra =
+        shard_b ? cpu::all_rows(a) : cpu::RowBlock{&a, s.begin, rows};
+    const cpu::RowBlock rb =
+        shard_b ? cpu::RowBlock{&b, s.begin, rows} : cpu::all_rows(b);
+    r.counts = CountMatrix(ra.rows, rb.rows);
+    cpu::compare_blocked_into(ra, rb, op, r.counts.raw().data(), rb.rows);
     if (opts.chunk_callback) {
       // Same shard-relative offsets as the device pipeline's chunks.
       opts.chunk_callback(

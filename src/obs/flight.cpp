@@ -85,8 +85,6 @@ const char* to_string(FlightKind kind) {
       return "shed";
     case FlightKind::kBatch:
       return "batch";
-    case FlightKind::kChunkPack:
-      return "chunk-pack";
     case FlightKind::kChunkExec:
       return "chunk-exec";
     case FlightKind::kChunkDrain:

@@ -41,13 +41,13 @@
 namespace snp::obs {
 
 /// Compact event kinds. Stable names (to_string) appear in dumps; add
-/// new kinds at the end so recorded numeric values keep meaning.
+/// new kinds at the end so recorded numeric values keep meaning (5, the
+/// retired chunk-pack stage, stays unused).
 enum class FlightKind : std::uint8_t {
   kEnqueue = 1,   ///< request queued          a=queue depth   b=rows
   kCacheHit = 2,  ///< served from result cache a=epoch
   kShed = 3,      ///< rejected by admission    a=queue depth
   kBatch = 4,     ///< batch formed             a=batch id      b=width
-  kChunkPack = 5, ///< chunk pack stage done    a=chunk index   b=rows
   kChunkExec = 6, ///< chunk execute stage done a=chunk index   b=rows
   kChunkDrain = 7,///< chunk drain stage done   a=chunk index   b=rows
   kFault = 8,     ///< non-retryable/final fault code=SNPRT a=chunk b=attempt

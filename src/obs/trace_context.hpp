@@ -20,7 +20,7 @@
 //   - rt::with_retry stamps the ambient id into every FaultEvent and
 //     flight-recorder fault/retry record;
 //   - obs::Span snapshots the ambient id so every slice (svc.batch,
-//     core.chunk.pack/execute/drain, ...) is taggable and flow-linkable
+//     core.chunk.execute/drain, ...) is taggable and flow-linkable
 //     back to the originating request.
 #pragma once
 

@@ -36,7 +36,7 @@ enum class ErrorCode : std::uint8_t {
   kTimeout,        ///< operation exceeded its deadline (watchdog)
   kIoCorrupt,      ///< input file truncated/corrupted (offset in Status)
   kShardLost,      ///< a multi-GPU shard's device died mid-run
-  kPoolTask,       ///< a host pipeline task (pack/execute/drain) failed
+  kPoolTask,       ///< a host pipeline stage (execute/drain) failed
   kExhausted,      ///< bounded retries (or the op deadline) ran out
   kCancelled,      ///< run abandoned because a sibling failure poisoned it
   kInternal,       ///< invariant violation — a bug, never retried

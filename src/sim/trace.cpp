@@ -54,23 +54,21 @@ void append_timeline(const Timeline& tl, const std::string& device_name,
   }
 }
 
-/// Host pipeline stage tracks: pack(0), execute(1), drain(2) under `pid`.
+/// Host pipeline stage tracks: execute(0), drain(1) under `pid`.
 void append_host_chunks(std::span<const HostChunkEvent> chunks,
                         const std::string& label, std::uint32_t pid,
                         std::vector<obs::TrackLabel>& tracks,
                         std::vector<obs::TraceEvent>& events) {
-  const char* names[] = {"pack", "execute", "drain"};
-  for (std::uint32_t tid = 0; tid < 3; ++tid) {
+  const char* names[] = {"execute", "drain"};
+  for (std::uint32_t tid = 0; tid < 2; ++tid) {
     tracks.push_back({pid, tid,
                       std::string(names[tid]) + " (" + label + ")"});
   }
   for (const HostChunkEvent& c : chunks) {
     const std::string idx = std::to_string(c.index);
-    push_slice(events, "pack chunk " + idx, pid, 0, c.host_pack_start,
-               c.host_pack_end);
-    push_slice(events, "exec chunk " + idx, pid, 1, c.host_exec_start,
+    push_slice(events, "exec chunk " + idx, pid, 0, c.host_exec_start,
                c.host_exec_end);
-    push_slice(events, "drain chunk " + idx, pid, 2, c.host_drain_start,
+    push_slice(events, "drain chunk " + idx, pid, 1, c.host_drain_start,
                c.host_drain_end);
   }
 }

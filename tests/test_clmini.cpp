@@ -6,9 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <numeric>
-
 #include "sim/memory.hpp"
 
 namespace snp::cl {
@@ -30,8 +27,7 @@ TEST(Context, ChargesInitTime) {
               sim::init_seconds(ctx.device().spec()), 1e-12);
   // Nothing starts before init completes.
   auto buf = ctx.create_buffer(64);
-  std::vector<std::byte> src(64, std::byte{7});
-  const Event ev = ctx.queue().enqueue_write(*buf, src);
+  const Event ev = ctx.queue().enqueue_write(*buf, 64);
   EXPECT_GE(ev.start, ctx.init_seconds());
 }
 
@@ -63,14 +59,8 @@ TEST(Context, AllocationLimits) {
 TEST(Queue, WriteReadRoundTrip) {
   Context ctx(Platform::device("titanv"));
   auto buf = ctx.create_buffer(256);
-  std::vector<std::byte> src(256);
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    src[i] = static_cast<std::byte>(i);
-  }
-  const Event w = ctx.queue().enqueue_write(*buf, src);
-  std::vector<std::byte> dst(256, std::byte{0});
-  const Event r = ctx.queue().enqueue_read(*buf, dst);
-  EXPECT_EQ(std::memcmp(src.data(), dst.data(), 256), 0);
+  const Event w = ctx.queue().enqueue_write(*buf, 256);
+  const Event r = ctx.queue().enqueue_read(*buf, 256);
   EXPECT_LE(w.queued, w.submitted);
   EXPECT_LE(w.submitted, w.start);
   EXPECT_LT(w.start, w.end);
@@ -81,8 +71,7 @@ TEST(Queue, WriteDurationMatchesPcieModel) {
   Context ctx(Platform::device("vega64"));
   constexpr std::size_t kBytes = 1 << 24;
   auto buf = ctx.create_buffer(kBytes);
-  std::vector<std::byte> src(kBytes, std::byte{1});
-  const Event ev = ctx.queue().enqueue_write(*buf, src);
+  const Event ev = ctx.queue().enqueue_write(*buf, kBytes);
   // start is when the transfer engine begins moving bytes; the fixed
   // submission latency sits between submit and start.
   EXPECT_NEAR(ev.duration(), sim::pcie_seconds(ctx.device().spec(), kBytes),
@@ -94,29 +83,22 @@ TEST(Queue, WriteDurationMatchesPcieModel) {
 TEST(Queue, OversizeTransfersRejected) {
   Context ctx(Platform::device("gtx980"));
   auto buf = ctx.create_buffer(16);
-  std::vector<std::byte> big(17);
-  EXPECT_THROW((void)ctx.queue().enqueue_write(*buf, big),
-               std::out_of_range);
-  EXPECT_THROW((void)ctx.queue().enqueue_read(*buf, big),
-               std::out_of_range);
+  EXPECT_THROW((void)ctx.queue().enqueue_write(*buf, 17), std::out_of_range);
+  EXPECT_THROW((void)ctx.queue().enqueue_read(*buf, 17), std::out_of_range);
 }
 
-TEST(Queue, KernelWaitsForInputsAndRunsFunctional) {
+TEST(Queue, KernelWaitsForInputs) {
   Context ctx(Platform::device("gtx980"));
   auto in = ctx.create_buffer(1024);
   auto out = ctx.create_buffer(1024);
-  std::vector<std::byte> src(1024, std::byte{3});
-  const Event w = ctx.queue().enqueue_write(*in, src);
-  bool ran = false;
+  const Event w = ctx.queue().enqueue_write(*in, 1024);
   Buffer* reads[] = {in.get()};
   Buffer* writes[] = {out.get()};
-  const Event k = ctx.queue().enqueue_kernel(
-      0.001, reads, writes, [&] { ran = true; });
-  EXPECT_TRUE(ran);
+  const Event k = ctx.queue().enqueue_kernel(0.001, reads, writes);
   EXPECT_GE(k.start, w.end);
   EXPECT_NEAR(k.duration(), 0.001, 1e-12);
   // A write into `in` while the kernel reads it must wait.
-  const Event w2 = ctx.queue().enqueue_write(*in, src);
+  const Event w2 = ctx.queue().enqueue_write(*in, 1024);
   EXPECT_GE(w2.start, k.end);
 }
 
@@ -129,18 +111,17 @@ TEST(Queue, IndependentChunksOverlapTransferAndCompute) {
   auto in1 = ctx.create_buffer(kBytes);
   auto out0 = ctx.create_buffer(64);
   auto out1 = ctx.create_buffer(64);
-  std::vector<std::byte> src(kBytes, std::byte{1});
   const double kernel_s =
       2.0 * sim::pcie_seconds(ctx.device().spec(), kBytes);
 
-  (void)ctx.queue().enqueue_write(*in0, src);
+  (void)ctx.queue().enqueue_write(*in0, kBytes);
   Buffer* r0[] = {in0.get()};
   Buffer* w0[] = {out0.get()};
-  const Event k0 = ctx.queue().enqueue_kernel(kernel_s, r0, w0, {});
-  const Event up1 = ctx.queue().enqueue_write(*in1, src);
+  const Event k0 = ctx.queue().enqueue_kernel(kernel_s, r0, w0);
+  const Event up1 = ctx.queue().enqueue_write(*in1, kBytes);
   Buffer* r1[] = {in1.get()};
   Buffer* w1[] = {out1.get()};
-  const Event k1 = ctx.queue().enqueue_kernel(kernel_s, r1, w1, {});
+  const Event k1 = ctx.queue().enqueue_kernel(kernel_s, r1, w1);
 
   EXPECT_LT(up1.start, k0.end);           // upload 1 overlaps kernel 0
   EXPECT_GE(k1.start, k0.end);            // compute engine is in-order
@@ -152,31 +133,19 @@ TEST(Queue, BarrierSerializes) {
   constexpr std::size_t kBytes = 1 << 22;
   auto in0 = ctx.create_buffer(kBytes);
   auto in1 = ctx.create_buffer(kBytes);
-  std::vector<std::byte> src(kBytes, std::byte{1});
   Buffer* r0[] = {in0.get()};
-  (void)ctx.queue().enqueue_write(*in0, src);
-  const Event k0 = ctx.queue().enqueue_kernel(0.01, r0, {}, {});
+  (void)ctx.queue().enqueue_write(*in0, kBytes);
+  const Event k0 = ctx.queue().enqueue_kernel(0.01, r0, {});
   ctx.queue().barrier();
-  const Event up1 = ctx.queue().enqueue_write(*in1, src);
+  const Event up1 = ctx.queue().enqueue_write(*in1, kBytes);
   EXPECT_GE(up1.start, k0.end);
 }
 
 TEST(Queue, FinishReturnsCompletionTime) {
   Context ctx(Platform::device("vega64"));
   auto buf = ctx.create_buffer(64);
-  std::vector<std::byte> src(64, std::byte{1});
-  const Event ev = ctx.queue().enqueue_write(*buf, src);
+  const Event ev = ctx.queue().enqueue_write(*buf, 64);
   EXPECT_DOUBLE_EQ(ctx.queue().finish(), ev.end);
-}
-
-TEST(Buffer, TypedViews) {
-  Context ctx(Platform::device("gtx980"));
-  auto buf = ctx.create_buffer(16);
-  auto u32 = buf->as<std::uint32_t>();
-  ASSERT_EQ(u32.size(), 4u);
-  std::iota(u32.begin(), u32.end(), 1u);
-  const auto& cref = *buf;
-  EXPECT_EQ(cref.as<std::uint32_t>()[3], 4u);
 }
 
 }  // namespace

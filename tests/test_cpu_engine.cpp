@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bits/compare.hpp"
 #include "io/datagen.hpp"
 
@@ -55,7 +57,10 @@ INSTANTIATE_TEST_SUITE_P(
                           EngineCase{64, 64, 512},   // one full block
                           EngineCase{65, 63, 1000},  // block + fringe
                           EngineCase{3, 130, 64},    // wide
-                          EngineCase{130, 3, 64}),   // tall
+                          EngineCase{130, 3, 64},    // tall
+                          // one m_c block over several n_c blocks
+                          EngineCase{1, 4101, 200},
+                          EngineCase{3, 4101, 130}),
         ::testing::Values(Comparison::kAnd, Comparison::kXor,
                           Comparison::kAndNot)));
 
@@ -81,6 +86,36 @@ TEST(CpuEngine, TinyBlockingStillCorrect) {
   const auto b = io::random_bitmatrix(19, 333, 0.7, 106);
   EXPECT_TRUE(compare_blocked(a, b, Comparison::kXor, blk) ==
               bits::compare_reference(a, b, Comparison::kXor));
+}
+
+TEST(CpuEngine, InPlaceBlockOverwritesOnlyItsWindow) {
+  // compare_blocked_into reads row windows of both operands in place and
+  // overwrites (beta = 0) exactly its block of a strided output; k_c = 2
+  // words forces several panels, so later panels must add onto the first.
+  const auto a = io::random_bitmatrix(10, 700, 0.4, 109);
+  const auto b = io::random_bitmatrix(9, 700, 0.6, 110);
+  CpuBlocking blk;
+  blk.k_c = 2;
+  constexpr std::size_t kLd = 15;
+  constexpr std::uint32_t kSentinel = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> c(12 * kLd, kSentinel);
+  const std::size_t r0 = 1;
+  const std::size_t c0 = 4;
+  compare_blocked_into({&a, 2, 5}, {&b, 3, 6}, Comparison::kAndNot,
+                       c.data() + r0 * kLd + c0, kLd, blk);
+  const auto expected = bits::compare_reference(
+      a.row_slice(2, 7), b.row_slice(3, 9), Comparison::kAndNot);
+  for (std::size_t i = 0; i < 12; ++i) {
+    for (std::size_t j = 0; j < kLd; ++j) {
+      const bool inside = i >= r0 && i < r0 + 5 && j >= c0 && j < c0 + 6;
+      EXPECT_EQ(c[i * kLd + j],
+                inside ? expected.at(i - r0, j - c0) : kSentinel)
+          << i << "," << j;
+    }
+  }
+  EXPECT_THROW(compare_blocked_into({&a, 8, 3}, all_rows(b),
+                                    Comparison::kAnd, c.data(), kLd),
+               std::out_of_range);
 }
 
 TEST(CpuEngine, LdCountsIsSelfAnd) {

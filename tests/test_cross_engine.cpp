@@ -1,5 +1,6 @@
 // Cross-engine equivalence: the bitwise oracle, the word reference, the
-// BLIS-like CPU engine, and the simulated GPU kernel on all three devices
+// BLIS-like CPU engine, and the public API on the simulated GPUs (whose
+// counts come from the same engine, written chunk by chunk into gamma)
 // must produce identical gamma matrices on randomized workloads, for every
 // comparison operation — the end-to-end correctness statement of the
 // reproduction.
@@ -9,7 +10,6 @@
 #include "core/snpcmp.hpp"
 #include "cpu/engine.hpp"
 #include "io/datagen.hpp"
-#include "kern/gpu_kernel.hpp"
 
 namespace snp {
 namespace {
@@ -35,17 +35,24 @@ TEST_P(AllEnginesAgree, OnRandomWorkloads) {
   // CPU BLIS-like engine.
   EXPECT_TRUE(cpu::compare_blocked(a, b, op) == expected) << "cpu engine";
 
-  // Simulated GPU kernel on each device, with each Table II preset.
-  for (const auto& dev : model::all_gpus()) {
-    for (const auto kind :
-         {model::WorkloadKind::kLd, model::WorkloadKind::kFastId}) {
-      const kern::GpuSnpKernel kernel(dev, model::paper_preset(dev, kind),
-                                      op);
-      bits::CountMatrix out(c.m, c.n);
-      kernel.execute(a, b, out);
-      EXPECT_TRUE(out == expected)
-          << dev.name << " "
-          << (kind == model::WorkloadKind::kLd ? "LD" : "FastID");
+  // Each simulated GPU through the public API, with chunks small enough
+  // to force several chunks and edge tiles in both stream directions:
+  // (a, b) streams B, (b, a) streams A. AND-NOT also runs pre-negated
+  // (Eq. 3), which must not change the counts.
+  const auto expected_t = bits::compare_reference(b, a, op);
+  for (const char* dev : {"gtx980", "titanv", "vega64"}) {
+    Context ctx = Context::gpu(dev);
+    for (const bool pre_negate : {false, true}) {
+      if (pre_negate && op != Comparison::kAndNot) {
+        continue;
+      }
+      ComputeOptions opts;
+      opts.pre_negate = pre_negate;
+      opts.chunk_rows = 7;
+      EXPECT_TRUE(ctx.compare(a, b, op, opts).counts == expected)
+          << dev << " pre_negate=" << pre_negate;
+      EXPECT_TRUE(ctx.compare(b, a, op, opts).counts == expected_t)
+          << dev << " transposed, pre_negate=" << pre_negate;
     }
   }
 }
@@ -95,13 +102,10 @@ TEST(CrossEngine, DeepKAccumulationAgrees) {
   const auto b = io::random_bitmatrix(7, 40000, 0.5, 6201);
   const auto expected = bits::compare_reference(a, b, Comparison::kAnd);
   EXPECT_TRUE(cpu::compare_blocked(a, b, Comparison::kAnd) == expected);
-  for (const auto& dev : model::all_gpus()) {
-    const kern::GpuSnpKernel kernel(
-        dev, model::paper_preset(dev, model::WorkloadKind::kLd),
-        Comparison::kAnd);
-    bits::CountMatrix out(9, 7);
-    kernel.execute(a, b, out);
-    EXPECT_TRUE(out == expected) << dev.name;
+  for (const char* dev : {"gtx980", "titanv", "vega64"}) {
+    Context ctx = Context::gpu(dev);
+    EXPECT_TRUE(ctx.compare(a, b, Comparison::kAnd).counts == expected)
+        << dev;
   }
 }
 

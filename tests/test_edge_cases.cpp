@@ -54,6 +54,37 @@ TEST(EdgeCases, TimelineOverlapFractionBounds) {
   EXPECT_GT(tl.overlap_fraction(), 0.8);
 }
 
+TEST(EdgeCases, DomainWrappersRejectDroppedGamma) {
+  // identity_search and mixture_analysis read gamma after the compare;
+  // keep_counts=false (legal with a chunk_callback) leaves none, so the
+  // combination is rejected and the *_streaming variants are named.
+  const auto q = io::random_bitmatrix(2, 128, 0.5, 1120);
+  const auto db = io::random_bitmatrix(40, 128, 0.5, 1121);
+  ComputeOptions opts;
+  opts.keep_counts = false;
+  opts.chunk_callback = [](const ComputeOptions::ChunkView&) {};
+  for (const char* dev : {"cpu", "titanv"}) {
+    Context ctx = std::string(dev) == "cpu" ? Context::cpu()
+                                             : Context::gpu(dev);
+    try {
+      (void)ctx.identity_search(q, db, opts);
+      FAIL() << dev << ": identity_search accepted keep_counts=false";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("identity_search_streaming"),
+                std::string::npos)
+          << e.what();
+    }
+    try {
+      (void)ctx.mixture_analysis(db, q, 0, opts);
+      FAIL() << dev << ": mixture_analysis accepted keep_counts=false";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("mixture_analysis_streaming"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(EdgeCases, SingleWordProblemEndToEnd) {
   // 1x1 comparison over 1 bit through every backend.
   bits::BitMatrix a(1, 1);

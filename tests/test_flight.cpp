@@ -35,7 +35,6 @@ TEST(Flight, KindNamesAreStable) {
   EXPECT_STREQ(to_string(FlightKind::kCacheHit), "cache-hit");
   EXPECT_STREQ(to_string(FlightKind::kShed), "shed");
   EXPECT_STREQ(to_string(FlightKind::kBatch), "batch");
-  EXPECT_STREQ(to_string(FlightKind::kChunkPack), "chunk-pack");
   EXPECT_STREQ(to_string(FlightKind::kChunkExec), "chunk-exec");
   EXPECT_STREQ(to_string(FlightKind::kChunkDrain), "chunk-drain");
   EXPECT_STREQ(to_string(FlightKind::kFault), "fault");

@@ -17,6 +17,10 @@ TEST(GenotypeLd, RejectsBadInput) {
   const auto g = io::generate_genotypes(4, 50, {});
   EXPECT_THROW((void)ctx.genotype_ld(g, timing_only),
                std::invalid_argument);
+  ComputeOptions no_gamma;  // the EM step needs the four gamma matrices
+  no_gamma.keep_counts = false;
+  no_gamma.chunk_callback = [](const ComputeOptions::ChunkView&) {};
+  EXPECT_THROW((void)ctx.genotype_ld(g, no_gamma), std::invalid_argument);
 }
 
 TEST(GenotypeLd, DiagonalIsPerfectLd) {

@@ -510,8 +510,6 @@ TEST(MergedTrace, CombinesSpansTimelineAndChunksOnDistinctPids) {
   sim::HostChunkEvent hc;
   hc.index = 0;
   hc.rows = 8;
-  hc.host_pack_start = 0.001;
-  hc.host_pack_end = 0.002;
   hc.host_exec_start = 0.002;
   hc.host_exec_end = 0.005;
   hc.host_drain_start = 0.005;
@@ -529,7 +527,7 @@ TEST(MergedTrace, CombinesSpansTimelineAndChunksOnDistinctPids) {
   EXPECT_NE(json.find("\"pid\": 2"), std::string::npos);
   EXPECT_NE(json.find("host work"), std::string::npos);
   EXPECT_NE(json.find("kernel chunk 0"), std::string::npos);
-  EXPECT_NE(json.find("pack chunk 0"), std::string::npos);
+  EXPECT_NE(json.find("exec chunk 0"), std::string::npos);
   EXPECT_NE(json.find("virtual clock"), std::string::npos);
 }
 

@@ -69,7 +69,12 @@ TEST(Streaming, CpuBackendDeliversSingleChunk) {
   bits::CountMatrix captured;
   opts.chunk_callback = [&](const ComputeOptions::ChunkView& view) {
     ++calls;
-    captured = view.part;
+    captured = bits::CountMatrix(view.part.rows(), view.part.cols());
+    for (std::size_t i = 0; i < captured.rows(); ++i) {
+      for (std::size_t j = 0; j < captured.cols(); ++j) {
+        captured.at(i, j) = view.part.at(i, j);
+      }
+    }
   };
   const auto r = ctx.compare(a, b, Comparison::kAndNot, opts);
   EXPECT_EQ(calls, 1);

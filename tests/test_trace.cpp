@@ -110,8 +110,6 @@ TEST(MergedTrace, AnchorShiftsDeviceAndPipelinePidsOnly) {
   HostChunkEvent chunk;
   chunk.index = 0;
   chunk.rows = 8;
-  chunk.host_pack_start = 0.001;
-  chunk.host_pack_end = 0.002;
   chunk.host_exec_start = 0.002;
   chunk.host_exec_end = 0.004;
   chunk.host_drain_start = 0.004;

@@ -241,7 +241,6 @@ TEST(ServiceTracing, FiftySeedFaultSoakPropagatesIdsEverywhere) {
     for (const obs::FlightRecord& rec : flight.snapshot()) {
       switch (rec.kind) {
         case obs::FlightKind::kBatch:
-        case obs::FlightKind::kChunkPack:
         case obs::FlightKind::kChunkExec:
         case obs::FlightKind::kChunkDrain:
         case obs::FlightKind::kFault:

@@ -56,11 +56,16 @@ fi
 ./build/tools/snpcmp gendb --out "$smoke/q.sbm" --profiles 4 --snps 256 >/dev/null
 ./build/tools/snpcmp search --queries "$smoke/q.sbm" --db "$smoke/db.sbm" \
   --threads 4 --metrics-out "$smoke/m.json" --trace-out "$smoke/t.json" >/dev/null
-python3 - "$smoke/m.json" "$smoke/t.json" <<'EOF'
+# Simulated devices deliver chunks on the calling thread; the exec pool
+# runs on the CPU device, where --threads sizes the engine's pool.
+./build/tools/snpcmp search --queries "$smoke/q.sbm" --db "$smoke/db.sbm" \
+  --device cpu --threads 4 --metrics-out "$smoke/m_cpu.json" >/dev/null
+python3 - "$smoke/m.json" "$smoke/t.json" "$smoke/m_cpu.json" <<'EOF'
 import json, sys
 metrics = json.load(open(sys.argv[1]))
 assert metrics["counters"]["core.compare.chunks"] > 0, "no chunk counters"
-assert "exec.pool.queue_depth" in metrics["gauge_peaks"], "no pool gauges"
+cpu_metrics = json.load(open(sys.argv[3]))
+assert "exec.pool.queue_depth" in cpu_metrics["gauge_peaks"], "no pool gauges"
 trace = json.load(open(sys.argv[2]))
 pids = {ev["pid"] for ev in trace}
 assert {1, 2} <= pids, f"merged trace missing host tracks: {pids}"
