@@ -1,6 +1,8 @@
 #include "bits/bitmatrix.hpp"
 
 #include <algorithm>
+#include <array>
+#include <mutex>
 #include <stdexcept>
 
 namespace snp::bits {
@@ -118,5 +120,78 @@ bool BitMatrix::padding_is_zero() const {
   }
   return true;
 }
+
+namespace count_storage {
+
+namespace {
+
+struct Block {
+  void* data = nullptr;
+  std::size_t bytes = 0;
+};
+
+struct Recycler {
+  std::mutex mu;
+  std::array<Block, kMaxRetained> blocks{};  ///< oldest first; guarded by mu
+  std::size_t count = 0;                     ///< guarded by mu
+
+  /// Removes blocks[i], keeping the rest oldest first; caller holds mu.
+  Block take(std::size_t i) {
+    const Block taken = blocks[i];
+    for (; i + 1 < count; ++i) {
+      blocks[i] = blocks[i + 1];
+    }
+    count--;
+    return taken;
+  }
+};
+
+// Never destroyed: a CountMatrix that outlives static destruction still
+// finds the recycler intact. Blocks it holds at exit stay reachable from
+// here and are returned with the process.
+Recycler& recycler() {
+  static auto* const instance = new Recycler;
+  return *instance;
+}
+
+}  // namespace
+
+void* allocate(std::size_t bytes) {
+  if (bytes >= kRecycleMinBytes) {
+    Recycler& r = recycler();
+    const std::lock_guard lock(r.mu);
+    for (std::size_t i = r.count; i-- > 0;) {  // newest first
+      if (r.blocks[i].bytes == bytes) {
+        return r.take(i).data;
+      }
+    }
+  }
+  return ::operator new(bytes);
+}
+
+void deallocate(void* block, std::size_t bytes) noexcept {
+  if (bytes < kRecycleMinBytes) {
+    ::operator delete(block);
+    return;
+  }
+  Recycler& r = recycler();
+  Block evicted;
+  {
+    const std::lock_guard lock(r.mu);
+    if (r.count == kMaxRetained) {
+      evicted = r.take(0);
+    }
+    r.blocks[r.count++] = {block, bytes};
+  }
+  ::operator delete(evicted.data);
+}
+
+std::size_t retained_blocks() {
+  Recycler& r = recycler();
+  const std::lock_guard lock(r.mu);
+  return r.count;
+}
+
+}  // namespace count_storage
 
 }  // namespace snp::bits

@@ -10,7 +10,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bits/word.hpp"
@@ -87,12 +89,71 @@ class BitMatrix {
   std::vector<Word64> data_;
 };
 
+/// Count-matrix storage. Blocks of at least kRecycleMinBytes go to a
+/// process-wide, mutex-guarded recycler on release instead of back to the
+/// heap, and a request of exactly the same size takes the most recently
+/// released one, so a same-shape gamma is obtained without fresh pages.
+/// At most kMaxRetained blocks are kept; releasing another evicts the
+/// oldest. Smaller blocks go straight to operator new/delete.
+namespace count_storage {
+inline constexpr std::size_t kRecycleMinBytes = std::size_t{4} << 20;
+inline constexpr std::size_t kMaxRetained = 2;
+
+[[nodiscard]] void* allocate(std::size_t bytes);
+void deallocate(void* block, std::size_t bytes) noexcept;
+/// Blocks the recycler currently holds (at most kMaxRetained).
+[[nodiscard]] std::size_t retained_blocks();
+}  // namespace count_storage
+
+/// Allocator over count_storage whose value-initialization is a default
+/// initialization: a vector sized without a fill value is left
+/// uninitialized, one given a fill value is filled.
+template <class T>
+struct CountAllocator {
+  using value_type = T;
+
+  CountAllocator() = default;
+  template <class U>
+  CountAllocator(  // NOLINT(google-explicit-constructor)
+      const CountAllocator<U>& /*other*/) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(count_storage::allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    count_storage::deallocate(p, n * sizeof(T));
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0) {
+      ::new (static_cast<void*>(p)) U;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+
+  friend bool operator==(const CountAllocator&, const CountAllocator&) {
+    return true;
+  }
+};
+
+/// Tag selecting the CountMatrix constructor that skips the zero fill.
+struct Uninitialized {
+  explicit Uninitialized() = default;
+};
+inline constexpr Uninitialized uninitialized{};
+
 /// Dense count matrix produced by SNP comparisons: gamma[i,j] as in Eqs. 1-3.
 class CountMatrix {
  public:
   CountMatrix() = default;
+  /// All counts zero: for callers that accumulate into the matrix.
   CountMatrix(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols, 0) {}
+  /// Counts left uninitialized (a recycled block keeps its old bytes): only
+  /// for a caller that overwrites every element before anything reads it.
+  CountMatrix(std::size_t rows, std::size_t cols, Uninitialized /*tag*/)
+      : rows_(rows), cols_(cols), data_(rows * cols) {}
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -119,7 +180,7 @@ class CountMatrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<std::uint32_t> data_;
+  std::vector<std::uint32_t, CountAllocator<std::uint32_t>> data_;
 };
 
 /// Read-only strided view of a block of counts: element (r, c) is

@@ -547,7 +547,9 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
     }
   }
   if (options.functional && options.keep_counts) {
-    result.counts = CountMatrix(a.rows(), n);
+    // Every chunk, or the degrade rung after a fault, overwrites its
+    // window of gamma before anything reads it.
+    result.counts = CountMatrix(a.rows(), n, bits::uninitialized);
   }
 
   // Every device operation below runs under the bounded-retry rung: the
@@ -748,16 +750,8 @@ IdentitySearchResult Context::identity_search(
   IdentitySearchResult out;
   out.comparison = compare(queries, database, Comparison::kXor, options);
   if (options.functional) {
-    const CountMatrix& gamma = out.comparison.counts;
-    out.best_match.resize(queries.rows());
-    out.best_mismatches.resize(queries.rows());
-    for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
-      const auto row = gamma.raw().subspan(qi * gamma.cols(), gamma.cols());
-      const auto best = std::min_element(row.begin(), row.end());
-      out.best_match[qi] =
-          static_cast<std::size_t>(best - row.begin());
-      out.best_mismatches[qi] = *best;
-    }
+    cpu::row_first_minima(out.comparison.counts, out.best_match,
+                          out.best_mismatches);
   }
   return out;
 }

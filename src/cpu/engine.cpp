@@ -141,12 +141,18 @@ void run_macro_tile(MicroKernelFn kernel, const Word64* a_packed,
   }
 }
 
+/// row_first_minima's column block: 64 KiB of counts, enough blocks to
+/// spread one long row over every thread, few enough that merging them is
+/// negligible. Scans smaller than kParallelScanMin counts stay serial.
+constexpr std::size_t kScanBlockCols = 16384;
+constexpr std::size_t kParallelScanMin = std::size_t{1} << 16;
+
 }  // namespace
 
 bits::CountMatrix compare_blocked(const bits::BitMatrix& a,
                                   const bits::BitMatrix& b, Comparison op,
                                   const CpuBlocking& blocking) {
-  bits::CountMatrix c(a.rows(), b.rows());
+  bits::CountMatrix c(a.rows(), b.rows(), bits::uninitialized);
   compare_blocked_into(all_rows(a), all_rows(b), op, c.raw().data(),
                        c.cols(), blocking);
   return c;
@@ -334,6 +340,49 @@ bits::CountMatrix compare_blocked_async(const bits::BitMatrix& a,
   }
   graph.wait();
   return c;
+}
+
+void row_first_minima(const bits::CountMatrix& c,
+                      std::vector<std::size_t>& column,
+                      std::vector<std::uint32_t>& value) {
+  if (c.cols() == 0) {
+    throw std::invalid_argument("row_first_minima: no columns");
+  }
+  const std::size_t rows = c.rows();
+  const std::size_t cols = c.cols();
+  const std::size_t blocks = bits::ceil_div(cols, kScanBlockCols);
+  const std::size_t parts = rows * blocks;
+  std::vector<std::uint32_t> part_min(parts);
+  std::vector<std::size_t> part_col(parts);
+  const std::uint32_t* data = c.raw().data();
+  const bool parallel = rows * cols >= kParallelScanMin;
+#pragma omp parallel for schedule(static) if (parallel) default(none) \
+    shared(part_min, part_col) firstprivate(data, cols, blocks, parts)
+  for (std::size_t p = 0; p < parts; ++p) {
+    const std::size_t j0 = (p % blocks) * kScanBlockCols;
+    const std::size_t len = std::min(cols, j0 + kScanBlockCols) - j0;
+    const std::uint32_t* x = data + (p / blocks) * cols + j0;
+    // A branch-free min (vectorized) and then a search for its first
+    // position, which stops early and reads a block already in cache.
+    std::uint32_t m = x[0];
+    for (std::size_t j = 1; j < len; ++j) {
+      m = std::min(m, x[j]);
+    }
+    part_min[p] = m;
+    part_col[p] = j0 + static_cast<std::size_t>(std::find(x, x + len, m) - x);
+  }
+  column.resize(rows);
+  value.resize(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::size_t best = i * blocks;
+    for (std::size_t p = best + 1; p < (i + 1) * blocks; ++p) {
+      if (part_min[p] < part_min[best]) {  // strict: earlier block wins ties
+        best = p;
+      }
+    }
+    column[i] = part_col[best];
+    value[i] = part_min[best];
+  }
 }
 
 bits::CountMatrix ld_counts(const bits::BitMatrix& a,

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "bits/bitmatrix.hpp"
 #include "bits/compare.hpp"
@@ -76,6 +77,15 @@ void compare_blocked_into(RowBlock a, RowBlock b, bits::Comparison op,
 [[nodiscard]] bits::CountMatrix compare_blocked_async(
     const bits::BitMatrix& a, const bits::BitMatrix& b, bits::Comparison op,
     exec::ThreadPool& pool, const CpuBlocking& blocking = {});
+
+/// The first minimum of every row of `c`, exactly as std::min_element
+/// finds it: value[i] = min_j c(i, j) and column[i] = the lowest j holding
+/// it. Rows and column blocks are scanned in parallel with OpenMP, and the
+/// blocks of a row are merged in column order, so ties resolve the same
+/// way for any thread count. `c` must have at least one column.
+void row_first_minima(const bits::CountMatrix& c,
+                      std::vector<std::size_t>& column,
+                      std::vector<std::uint32_t>& value);
 
 /// Convenience single-call LD (Eq. 1): C = (A & A)^T-style self-comparison,
 /// i.e. compare_blocked(a, a, kAnd).

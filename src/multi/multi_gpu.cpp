@@ -181,8 +181,11 @@ MultiCompareResult MultiGpuContext::compare(const BitMatrix& a,
 
   MultiCompareResult result;
   result.timing.devices = static_cast<int>(shards.size());
-  if (options.per_device.functional) {
-    result.counts = CountMatrix(a.rows(), b.rows());
+  const bool merge_counts =
+      options.per_device.functional && options.per_device.keep_counts;
+  if (merge_counts) {
+    // The shards tile every row, so the merge below overwrites it all.
+    result.counts = CountMatrix(a.rows(), b.rows(), bits::uninitialized);
   }
 
   const rt::FailPolicy policy = options.per_device.recovery.policy;
@@ -343,7 +346,7 @@ MultiCompareResult MultiGpuContext::compare(const BitMatrix& a,
       worst = r.timing.end_to_end_s;
       result.timing.slowest_device = r.timing;
     }
-    if (options.per_device.functional) {
+    if (merge_counts) {
       for (std::size_t i = 0; i < r.counts.rows(); ++i) {
         for (std::size_t j = 0; j < r.counts.cols(); ++j) {
           if (shard_b) {

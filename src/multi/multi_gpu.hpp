@@ -64,7 +64,8 @@ struct MultiGpuReport {
 };
 
 struct MultiCompareResult {
-  bits::CountMatrix counts;  ///< empty when per_device.functional == false
+  /// Empty when per_device.functional or per_device.keep_counts is false.
+  bits::CountMatrix counts;
   MultiGpuReport timing;
 };
 

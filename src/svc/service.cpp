@@ -378,7 +378,8 @@ struct ServiceEngine::Impl {
     SNP_OBS_GAUGE_ADD("svc.queue_depth", 1);
     SNP_OBS_FLIGHT(obs::FlightKind::kEnqueue, trace_id, 0,
                    static_cast<std::int64_t>(pending.size()), 0);
-    lock.unlock();
+    // Notify while holding mu: once it is released the destructor may run
+    // and destroy cv_work.
     cv_work.notify_one();
     return fut;
   }
