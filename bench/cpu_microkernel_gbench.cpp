@@ -13,21 +13,29 @@ namespace {
 
 using snp::bits::Comparison;
 
+/// Times compare_blocked(a, b, op). Gwordops/s counts 32-bit word-ops
+/// (M x N x ceil(K / 32)), the unit of perfbench's cpu.gwordops_per_s.
+void run_compare(benchmark::State& state, const snp::bits::BitMatrix& a,
+                 const snp::bits::BitMatrix& b, Comparison op) {
+  for (auto _ : state) {
+    auto c = snp::cpu::compare_blocked(a, b, op);
+    benchmark::DoNotOptimize(c.raw().data());
+    benchmark::ClobberMemory();
+  }
+  const double wordops = static_cast<double>(a.rows()) *
+                         static_cast<double>(b.rows()) *
+                         static_cast<double>(a.words32_per_row());
+  state.counters["Gwordops/s"] = benchmark::Counter(
+      wordops * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
 void bench_compare(benchmark::State& state, Comparison op) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto k_bits = static_cast<std::size_t>(state.range(1));
   const auto a = snp::io::random_bitmatrix(m, k_bits, 0.5, 1);
   const auto b = snp::io::random_bitmatrix(m, k_bits, 0.5, 2);
-  for (auto _ : state) {
-    auto c = snp::cpu::compare_blocked(a, b, op);
-    benchmark::DoNotOptimize(c.raw().data());
-  }
-  const double wordops =
-      static_cast<double>(m) * static_cast<double>(m) *
-      static_cast<double>(snp::bits::ceil_div(k_bits, 32));
-  state.counters["Gwordops/s"] = benchmark::Counter(
-      wordops * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
+  run_compare(state, a, b, op);
 }
 
 void BM_CpuAnd(benchmark::State& state) {
@@ -43,6 +51,23 @@ void BM_CpuAndNot(benchmark::State& state) {
 BENCHMARK(BM_CpuAnd)->Args({256, 4096})->Args({512, 8192});
 BENCHMARK(BM_CpuXor)->Args({256, 4096});
 BENCHMARK(BM_CpuAndNot)->Args({256, 4096});
+
+// The engine at perfbench's two compute shapes, so its host rate can be
+// checked for each build target's micro-tile without running perfbench.
+void BM_LdShape(benchmark::State& state) {
+  // ld: 2048 loci x 4096 samples, self-comparison with AND (Eq. 1).
+  const auto a = snp::io::random_bitmatrix(2048, 4096, 0.5, 5);
+  run_compare(state, a, a, Comparison::kAnd);
+}
+BENCHMARK(BM_LdShape)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_SearchShape(benchmark::State& state) {
+  // search: 32 queries x 262144 profiles x 512 SNPs, XOR (Eq. 2).
+  const auto q = snp::io::random_bitmatrix(32, 512, 0.5, 6);
+  const auto db = snp::io::random_bitmatrix(262144, 512, 0.5, 7);
+  run_compare(state, q, db, Comparison::kXor);
+}
+BENCHMARK(BM_SearchShape)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ReferenceAnd(benchmark::State& state) {
   // The unblocked reference, to show what the BLIS-like blocking buys.

@@ -48,8 +48,8 @@ std::uintptr_t release_stale_block(std::size_t rows, std::size_t cols) {
 }
 
 /// Operands whose gamma is large enough to be recycled, with M and N
-/// multiples of none of the engine's tiles (m_r = n_r = 4, m_c = 64,
-/// n_c = 2048) and K not a whole number of words.
+/// multiples of none of the engine's tiles (m_r = 4, n_r = 32 or 4 by
+/// build target, m_c = 64, n_c = 2048) and K not a whole number of words.
 struct EdgeShape {
   BitMatrix few = io::random_bitmatrix(37, 130, 0.4, 1301);
   BitMatrix many = io::random_bitmatrix(30011, 130, 0.5, 1302);

@@ -7,12 +7,19 @@
 #include <vector>
 
 #include "bits/compare.hpp"
+#include "exec/thread_pool.hpp"
 #include "io/datagen.hpp"
 
 namespace snp::cpu {
 namespace {
 
 using bits::Comparison;
+
+// The micro-tile comes from the build target (4 x 32 with a vector
+// popcount, else 4 x 4), so edge shapes are written in terms of it.
+constexpr std::size_t kMr = CpuBlocking::m_r;
+constexpr std::size_t kNr = CpuBlocking::n_r;
+constexpr std::size_t kNc = CpuBlocking{}.n_c;
 
 TEST(CpuEngine, RejectsBadInput) {
   const auto a = io::random_bitmatrix(4, 64, 0.5, 1);
@@ -60,7 +67,12 @@ INSTANTIATE_TEST_SUITE_P(
                           EngineCase{130, 3, 64},    // tall
                           // one m_c block over several n_c blocks
                           EngineCase{1, 4101, 200},
-                          EngineCase{3, 4101, 130}),
+                          EngineCase{3, 4101, 130},
+                          // one column short of, and one past, a micro-tile
+                          EngineCase{kMr + 1, kNr - 1, 130},
+                          EngineCase{2 * kMr + 3, kNr + 1, 200},
+                          // an n_c block, a full micro-tile and a fringe
+                          EngineCase{kMr - 1, kNc + kNr + 3, 190}),
         ::testing::Values(Comparison::kAnd, Comparison::kXor,
                           Comparison::kAndNot)));
 
@@ -78,14 +90,39 @@ TEST(CpuEngine, DeepKCrossesPanels) {
 }
 
 TEST(CpuEngine, TinyBlockingStillCorrect) {
+  // The smallest valid blocking: one micro-tile per macro-tile.
   CpuBlocking blk;
-  blk.m_c = 4;
-  blk.n_c = 4;
+  blk.m_c = kMr;
+  blk.n_c = kNr;
   blk.k_c = 1;
   const auto a = io::random_bitmatrix(17, 333, 0.3, 105);
-  const auto b = io::random_bitmatrix(19, 333, 0.7, 106);
+  const auto b = io::random_bitmatrix(2 * kNr + 3, 333, 0.7, 106);
   EXPECT_TRUE(compare_blocked(a, b, Comparison::kXor, blk) ==
               bits::compare_reference(a, b, Comparison::kXor));
+}
+
+/// Runs compare_blocked_into on rows [a0, a0 + m) of `a` and [b0, b0 + n)
+/// of `b`, writing at (r0, c0) of a sentinel-filled output with row stride
+/// `ld`, and checks that exactly that window holds the reference counts.
+void expect_window(const bits::BitMatrix& a, std::size_t a0, std::size_t m,
+                   const bits::BitMatrix& b, std::size_t b0, std::size_t n,
+                   Comparison op, std::size_t r0, std::size_t c0,
+                   std::size_t ld, const CpuBlocking& blk) {
+  constexpr std::uint32_t kSentinel = 0xFFFFFFFFu;
+  const std::size_t rows = r0 + m + 2;
+  std::vector<std::uint32_t> c(rows * ld, kSentinel);
+  compare_blocked_into({&a, a0, m}, {&b, b0, n}, op, c.data() + r0 * ld + c0,
+                       ld, blk);
+  const auto expected = bits::compare_reference(
+      a.row_slice(a0, a0 + m), b.row_slice(b0, b0 + n), op);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < ld; ++j) {
+      const bool inside = i >= r0 && i < r0 + m && j >= c0 && j < c0 + n;
+      ASSERT_EQ(c[i * ld + j],
+                inside ? expected.at(i - r0, j - c0) : kSentinel)
+          << i << "," << j;
+    }
+  }
 }
 
 TEST(CpuEngine, InPlaceBlockOverwritesOnlyItsWindow) {
@@ -96,26 +133,23 @@ TEST(CpuEngine, InPlaceBlockOverwritesOnlyItsWindow) {
   const auto b = io::random_bitmatrix(9, 700, 0.6, 110);
   CpuBlocking blk;
   blk.k_c = 2;
-  constexpr std::size_t kLd = 15;
-  constexpr std::uint32_t kSentinel = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> c(12 * kLd, kSentinel);
-  const std::size_t r0 = 1;
-  const std::size_t c0 = 4;
-  compare_blocked_into({&a, 2, 5}, {&b, 3, 6}, Comparison::kAndNot,
-                       c.data() + r0 * kLd + c0, kLd, blk);
-  const auto expected = bits::compare_reference(
-      a.row_slice(2, 7), b.row_slice(3, 9), Comparison::kAndNot);
-  for (std::size_t i = 0; i < 12; ++i) {
-    for (std::size_t j = 0; j < kLd; ++j) {
-      const bool inside = i >= r0 && i < r0 + 5 && j >= c0 && j < c0 + 6;
-      EXPECT_EQ(c[i * kLd + j],
-                inside ? expected.at(i - r0, j - c0) : kSentinel)
-          << i << "," << j;
-    }
-  }
+  expect_window(a, 2, 5, b, 3, 6, Comparison::kAndNot, 1, 4, 15, blk);
+  std::vector<std::uint32_t> c(12 * 15);
   EXPECT_THROW(compare_blocked_into({&a, 8, 3}, all_rows(b),
-                                    Comparison::kAnd, c.data(), kLd),
+                                    Comparison::kAnd, c.data(), 15),
                std::out_of_range);
+}
+
+TEST(CpuEngine, InPlaceWindowWiderThanAMicroTile) {
+  // A window of several micro-tiles plus a fringe in both dimensions, at
+  // a non-zero column offset of a wider output, over several k_c panels.
+  const std::size_t n = 2 * kNr + 5;
+  const auto a = io::random_bitmatrix(12, 700, 0.4, 111);
+  const auto b = io::random_bitmatrix(n + 5, 700, 0.6, 112);
+  CpuBlocking blk;
+  blk.k_c = 3;
+  expect_window(a, 1, 2 * kMr + 1, b, 3, n, Comparison::kXor, 2, 7,
+                7 + n + 9, blk);
 }
 
 TEST(CpuEngine, LdCountsIsSelfAnd) {
@@ -143,6 +177,25 @@ TEST(CpuEngine, DensityExtremes) {
       EXPECT_EQ(c1.at(i, j), 256u);
       EXPECT_EQ(cx.at(i, j), 0u);
     }
+  }
+}
+
+TEST(CpuEngine, AsyncAgreesWithReferenceAtAnEdgeShape) {
+  // Two m_c and two n_c blocks, the last of each ending in a partial
+  // micro-tile, over three k_c panels (more than the two panel
+  // generations in flight).
+  CpuBlocking blk;
+  blk.m_c = 2 * kMr;
+  blk.n_c = 2 * kNr;
+  blk.k_c = 3;
+  const auto a = io::random_bitmatrix(blk.m_c + 3, 500, 0.4, 113);
+  const auto b = io::random_bitmatrix(blk.n_c + kNr + 3, 500, 0.6, 114);
+  exec::ThreadPool pool(2);
+  for (const auto op :
+       {Comparison::kAnd, Comparison::kXor, Comparison::kAndNot}) {
+    EXPECT_TRUE(compare_blocked_async(a, b, op, pool, blk) ==
+                bits::compare_reference(a, b, op))
+        << bits::to_string(op);
   }
 }
 
