@@ -493,7 +493,6 @@ int cmd_ld(Options& opt, std::ostream& out) {
   const std::string device = opt.str("device", "titanv");
   const std::string gamma_out = opt.str("out", "");
   const std::size_t top = opt.num("top", 10);
-  const std::size_t threads = opt.num("threads", 0);
   const Telemetry tele(opt);
   FaultControl faults(opt);
   opt.reject_unknown();
@@ -501,7 +500,6 @@ int cmd_ld(Options& opt, std::ostream& out) {
   const auto m = io::load_bitmatrix(std::filesystem::path(in));
   Context ctx = make_context(device);
   ComputeOptions copts;
-  copts.threads = threads;
   faults.apply(copts);
   const auto res = ctx.ld(m, copts);
   if (!gamma_out.empty()) {
@@ -540,7 +538,6 @@ int cmd_search(Options& opt, std::ostream& out) {
   const std::string dbpath = opt.require("db");
   const std::string device = opt.str("device", "titanv");
   const std::size_t top = opt.num("top", 3);
-  const std::size_t threads = opt.num("threads", 0);
   const std::string host_trace = opt.str("host-trace", "");
   const auto lds_words = static_cast<int>(opt.num("lds-words", 0));
   const Telemetry tele(opt);
@@ -551,7 +548,6 @@ int cmd_search(Options& opt, std::ostream& out) {
   const auto db = io::load_bitmatrix(std::filesystem::path(dbpath));
   Context ctx = make_context(device);
   ComputeOptions copts;
-  copts.threads = threads;
   copts.lds_words = lds_words;
   faults.apply(copts);
   const auto res = ctx.identity_search(queries, db, copts);
@@ -591,7 +587,6 @@ int cmd_mixture(Options& opt, std::ostream& out) {
   const auto tolerance = static_cast<std::uint32_t>(opt.num("tolerance",
                                                             0));
   const bool pre_negate = opt.str("pre-negate", "no") == "yes";
-  const std::size_t threads = opt.num("threads", 0);
   const Telemetry tele(opt);
   FaultControl faults(opt);
   opt.reject_unknown();
@@ -601,7 +596,6 @@ int cmd_mixture(Options& opt, std::ostream& out) {
   Context ctx = make_context(device);
   ComputeOptions copts;
   copts.pre_negate = pre_negate;
-  copts.threads = threads;
   faults.apply(copts);
   const auto res =
       ctx.mixture_analysis(profiles, mixtures, tolerance, copts);
@@ -1313,7 +1307,6 @@ svc::ServiceConfig parse_service_config(Options& opt) {
   cfg.coalesce_window_s = opt.real("window-ms", 0.0) / 1e3;
   cfg.max_queue = opt.num("max-queue", 256);
   cfg.cache_capacity = opt.num("cache", 1024);
-  cfg.compute_threads = opt.num("threads", 0);
   const std::string admission = opt.str("admission", "reject");
   const auto policy = svc::parse_admission_policy(admission);
   if (!policy) {
@@ -1660,16 +1653,15 @@ commands:
   cluster   --in F               UPGMA population structure (+ Fst at k=2)
             [--k N] [--device D] [--format auto|plink|vcf]
   ld        --in F.sbm          linkage disequilibrium (Eq. 1)
-            [--device D] [--out gamma.scm] [--top K] [--threads N]
-            [telemetry flags]
+            [--device D] [--out gamma.scm] [--top K] [telemetry flags]
   search    --queries F --db F  FastID identity search (Eq. 2)
-            [--device D] [--top K] [--threads N] [--host-trace F.json]
+            [--device D] [--top K] [--host-trace F.json]
             [--lds-words N: launch-time LDS allocation the pre-launch
             verifier proves the kernel against; blocked with exit 3 if
             too small] [telemetry flags]
   mixture   --profiles F --mixtures F   FastID mixture analysis (Eq. 3)
             [--device D] [--tolerance T] [--pre-negate yes|no]
-            [--threads N] [telemetry flags]
+            [telemetry flags]
   merge     --a F --b F --out F [--axis samples|loci]
             combine genotyping batches (samples) or marker panels (loci)
   subset    --in F --out F [--samples n1,n2,...] [--loci a-b | i,j,...]
@@ -1711,7 +1703,7 @@ commands:
             priority (lowest sheds first)
             [--device D] [--op and|xor|andnot] [--pre-negate yes|no]
             [--max-batch N] [--window-ms X] [--max-queue N]
-            [--admission reject|block] [--cache N] [--threads N]
+            [--admission reject|block] [--cache N]
             [--slo-ms X: latency objective for the burn-rate monitor;
             a breach dumps the flight recorder and, with
             --brownout-class, starts shedding low classes]

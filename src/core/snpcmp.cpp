@@ -9,7 +9,6 @@
 
 #include "analyze/analyzer.hpp"
 #include "cpu/engine.hpp"
-#include "exec/thread_pool.hpp"
 #include "model/peak.hpp"
 #include "obs/obs.hpp"
 #include "rt/fault.hpp"
@@ -443,15 +442,7 @@ CompareResult Context::compare_cpu(const BitMatrix& a, const BitMatrix& b,
       bits::ceil_div(a.bit_cols(), bits::kBitsPerWord32);
   if (options.functional) {
     const auto t0 = std::chrono::steady_clock::now();
-    bits::CountMatrix counts;
-    if (options.threads > 0) {
-      // Macro-tile task graph on a pool instead of the OpenMP pragma path;
-      // bit-identical counts (see cpu::compare_blocked_async).
-      exec::ThreadPool pool(options.threads);
-      counts = cpu::compare_blocked_async(a, b, op, pool);
-    } else {
-      counts = cpu::compare_blocked(a, b, op);
-    }
+    bits::CountMatrix counts = cpu::compare_blocked(a, b, op);
     const auto t1 = std::chrono::steady_clock::now();
     result.timing.kernel_s =
         std::chrono::duration<double>(t1 - t0).count();

@@ -66,13 +66,10 @@ struct ComputeOptions {
   /// allocation before anything launches.
   int lds_words = 0;
 
-  /// CPU contexts: 0 (default) runs cpu::compare_blocked (OpenMP); N >= 1
-  /// runs cpu::compare_blocked_async on an N-thread exec pool. GPU
-  /// contexts ignore it: every functional GPU run computes each chunk
-  /// with the CPU engine (itself parallel) and delivers it to
-  /// chunk_callback on the calling thread, strictly in stream order.
-  /// Counts, callback payloads and order, and the simulated timing are
-  /// bit-identical for every value.
+  /// Read by nothing in the library: every context runs the OpenMP CPU
+  /// engine and delivers chunks on the calling thread. Kept only because
+  /// perfbench's ld workload still sets it; delete it with the next
+  /// change to perfbench.
   std::size_t threads = 0;
 
   /// One finished chunk of the gamma matrix, delivered in stream order.

@@ -1,14 +1,10 @@
 #include "cpu/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <memory>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
 
-#include "exec/task_graph.hpp"
-#include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
 
 namespace snp::cpu {
@@ -128,8 +124,7 @@ MicroKernelFn select_kernel(Comparison op) {
 }
 
 /// Loops 2 (n_r) and 1 (m_r) around the micro-kernel for one packed
-/// m_c x n_c macro-tile. Shared verbatim by the OpenMP and task-graph
-/// paths so their accumulation into C is instruction-identical.
+/// m_c x n_c macro-tile.
 void run_macro_tile(MicroKernelFn kernel, const Word64* a_packed,
                     const Word64* b_packed, std::size_t ic, std::size_t mc,
                     std::size_t jc, std::size_t nc, std::size_t kw,
@@ -242,130 +237,6 @@ void compare_blocked_into(RowBlock a, RowBlock b, Comparison op,
       }
     }
   }
-}
-
-bits::CountMatrix compare_blocked_async(const bits::BitMatrix& a,
-                                        const bits::BitMatrix& b,
-                                        Comparison op,
-                                        exec::ThreadPool& pool,
-                                        const CpuBlocking& blocking) {
-  if (a.bit_cols() != b.bit_cols()) {
-    throw std::invalid_argument(
-        "compare_blocked_async: operands must share the K dimension");
-  }
-  if (!blocking.valid()) {
-    throw std::invalid_argument("compare_blocked_async: invalid blocking");
-  }
-  SNP_OBS_SPAN("cpu.compare_blocked_async");
-  const MicroKernelFn kernel = select_kernel(op);
-
-  const std::size_t m = a.rows();
-  const std::size_t n = b.rows();
-  const std::size_t k_words =
-      bits::ceil_div(a.bit_cols(), bits::kBitsPerWord64);
-  bits::CountMatrix c(m, n);
-  if (m == 0 || n == 0 || k_words == 0) {
-    return c;
-  }
-  const std::size_t ldc = n;
-  std::uint32_t* cdata = c.raw().data();
-
-  const std::size_t m_blocks = bits::ceil_div(m, blocking.m_c);
-  const std::size_t n_blocks = bits::ceil_div(n, blocking.n_c);
-
-  // Two panel generations (k_c strips) may be in flight at once: packing
-  // for generation g+1 overlaps the macro-tile compute of generation g,
-  // and the generation-complete marker frees its panels before releasing
-  // the slot — so peak packed memory is bounded at two generations.
-  constexpr std::size_t kPanelGenerations = 2;
-  exec::Semaphore generations(kPanelGenerations);
-  std::vector<std::vector<Word64>> a_store[kPanelGenerations];
-  std::vector<std::vector<Word64>> b_store[kPanelGenerations];
-  // Last compute task per (m, n) macro-tile: each tile's k_c accumulation
-  // chain runs in the serial panel order, so C is bit-identical to
-  // compare_blocked regardless of pool size.
-  std::vector<exec::TaskGraph::TaskId> tile_chain(m_blocks * n_blocks);
-  std::vector<bool> tile_started(m_blocks * n_blocks, false);
-
-  exec::TaskGraph graph(pool);
-  std::size_t generation = 0;
-  for (std::size_t pc = 0; pc < k_words;
-       pc += blocking.k_c, ++generation) {
-    const std::size_t kw = std::min(blocking.k_c, k_words - pc);
-    const std::size_t slot = generation % kPanelGenerations;
-    // Failure-aware acquire: if any task threw, the marker that releases
-    // this slot may be skipped — stop producing and let graph.wait()
-    // rethrow instead of deadlocking.
-    bool acquired = false;
-    while (!(acquired =
-                 generations.acquire_for(std::chrono::milliseconds(20)))) {
-      if (graph.failed()) {
-        break;
-      }
-    }
-    if (!acquired) {
-      break;
-    }
-    a_store[slot].assign(m_blocks, {});
-    b_store[slot].assign(n_blocks, {});
-
-    std::vector<exec::TaskGraph::TaskId> a_packs(m_blocks);
-    std::vector<exec::TaskGraph::TaskId> b_packs(n_blocks);
-    for (std::size_t ib = 0; ib < m_blocks; ++ib) {
-      const std::size_t ic = ib * blocking.m_c;
-      const std::size_t mc = std::min(blocking.m_c, m - ic);
-      auto* dst = &a_store[slot][ib];
-      a_packs[ib] = graph.add(
-          [&a, ic, mc, pc, kw, dst] { pack_a(a, ic, mc, pc, kw, *dst); });
-    }
-    for (std::size_t jb = 0; jb < n_blocks; ++jb) {
-      const std::size_t jc = jb * blocking.n_c;
-      const std::size_t nc = std::min(blocking.n_c, n - jc);
-      auto* dst = &b_store[slot][jb];
-      b_packs[jb] = graph.add(
-          [&b, jc, nc, pc, kw, dst] { pack_b(b, jc, nc, pc, kw, *dst); });
-    }
-
-    std::vector<exec::TaskGraph::TaskId> computes;
-    computes.reserve(m_blocks * n_blocks);
-    for (std::size_t jb = 0; jb < n_blocks; ++jb) {
-      const std::size_t jc = jb * blocking.n_c;
-      const std::size_t nc = std::min(blocking.n_c, n - jc);
-      for (std::size_t ib = 0; ib < m_blocks; ++ib) {
-        const std::size_t ic = ib * blocking.m_c;
-        const std::size_t mc = std::min(blocking.m_c, m - ic);
-        const std::size_t tile = jb * m_blocks + ib;
-        std::vector<exec::TaskGraph::TaskId> deps{a_packs[ib],
-                                                  b_packs[jb]};
-        if (tile_started[tile]) {
-          deps.push_back(tile_chain[tile]);
-        }
-        const auto* a_panel = &a_store[slot][ib];
-        const auto* b_panel = &b_store[slot][jb];
-        tile_chain[tile] = graph.add(
-            [kernel, a_panel, b_panel, ic, mc, jc, nc, kw, m, n, cdata,
-             ldc] {
-              run_macro_tile(kernel, a_panel->data(), b_panel->data(), ic,
-                             mc, jc, nc, kw, m, n, cdata, ldc,
-                             /*overwrite=*/false);
-            },
-            deps);
-        tile_started[tile] = true;
-        computes.push_back(tile_chain[tile]);
-      }
-    }
-    // Generation marker: frees this generation's panels and opens the slot
-    // for packing two strips ahead.
-    graph.add(
-        [&a_store, &b_store, slot, &generations] {
-          a_store[slot].clear();
-          b_store[slot].clear();
-          generations.release();
-        },
-        computes);
-  }
-  graph.wait();
-  return c;
 }
 
 void row_first_minima(const bits::CountMatrix& c,

@@ -18,10 +18,6 @@
 #include "bits/bitmatrix.hpp"
 #include "bits/compare.hpp"
 
-namespace snp::exec {
-class ThreadPool;
-}
-
 namespace snp::cpu {
 
 /// Whether the build target has a vector 64-bit popcount (AVX-512
@@ -84,18 +80,6 @@ struct RowBlock {
 void compare_blocked_into(RowBlock a, RowBlock b, bits::Comparison op,
                           std::uint32_t* c, std::size_t ldc,
                           const CpuBlocking& blocking = {});
-
-/// Asynchronous variant of compare_blocked: the same five-loop blocking
-/// expressed as a task graph on `pool` instead of OpenMP pragmas. A and B
-/// panels are packed by dedicated tasks (at most two k_c panel generations
-/// in flight — double-buffered packing, so packing for panel p+1 overlaps
-/// the micro-kernels of panel p), and each m_c x n_c macro-tile runs as
-/// one task whose k_c accumulation chain preserves the serial order.
-/// Results are bit-identical to compare_blocked for any pool size
-/// (including an inline 0-thread pool).
-[[nodiscard]] bits::CountMatrix compare_blocked_async(
-    const bits::BitMatrix& a, const bits::BitMatrix& b, bits::Comparison op,
-    exec::ThreadPool& pool, const CpuBlocking& blocking = {});
 
 /// The first minimum of every row of `c`, exactly as std::min_element
 /// finds it: value[i] = min_j c(i, j) and column[i] = the lowest j holding

@@ -137,7 +137,7 @@ void ThreadPool::worker_loop() {
     try {
       // Run under the poster's trace context: spans, flight events,
       // and fault records inside the task — and any tasks it posts in
-      // turn (TaskGraph successors) — inherit the request identity.
+      // turn — inherit the request identity.
       const obs::ScopedTraceContext trace_scope(task.trace);
       if constexpr (obs::kEnabled) {
         SNP_OBS_OBSERVE("exec.pool.task_wait_seconds",

@@ -4,10 +4,9 @@
 // compute (Section VI-A); Beyer & Bientinesi's HDD->GPU streaming work and
 // Samsi et al.'s GPU DNA-mixture pipeline both reach sustained throughput
 // the same way: an asynchronous host pipeline keeps every engine busy.
-// This module is the reusable scheduler behind our async paths — a plain
-// fixed-size worker pool with a FIFO work queue, futures for one-shot
-// results, and a counting semaphore for bounded in-flight backpressure.
-// TaskGraph (task_graph.hpp) layers dependency edges on top.
+// This module is the reusable scheduler behind the multi-GPU shards and
+// the query service's batch executor — a plain fixed-size worker pool
+// with a FIFO work queue and futures for one-shot results.
 //
 // Threading contract: submission is thread-safe; tasks run exactly once;
 // a pool constructed with 0 threads degenerates to inline execution on the
@@ -33,57 +32,9 @@
 
 namespace snp::exec {
 
-/// Counting semaphore used for bounded in-flight chunk scheduling (the
-/// producer blocks in acquire() once `count` chunks are queued but not yet
-/// drained). std::counting_semaphore exists, but this one is introspectable
-/// (available()) and keeps the module self-contained.
-class Semaphore {
- public:
-  explicit Semaphore(std::size_t count) : count_(count) {}
-
-  void acquire() {
-    std::unique_lock lock(mu_);
-    cv_.wait(lock, [&] { return count_ > 0; });
-    --count_;
-  }
-
-  /// acquire() that gives up after `timeout`. Producers gating on tasks
-  /// that release slots must use this and poll an abort condition (e.g.
-  /// TaskGraph::failed()): a failed pipeline skips its remaining tasks,
-  /// so the releases pending on them never happen and a plain acquire()
-  /// would deadlock.
-  [[nodiscard]] bool acquire_for(std::chrono::milliseconds timeout) {
-    std::unique_lock lock(mu_);
-    if (!cv_.wait_for(lock, timeout, [&] { return count_ > 0; })) {
-      return false;
-    }
-    --count_;
-    return true;
-  }
-
-  void release() {
-    {
-      const std::lock_guard lock(mu_);
-      ++count_;
-    }
-    cv_.notify_one();
-  }
-
-  [[nodiscard]] std::size_t available() const {
-    const std::lock_guard lock(mu_);
-    return count_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::size_t count_;
-};
-
 /// Fixed-size worker pool over a FIFO queue. Destruction drains: every task
 /// posted before the destructor runs is executed before the workers join
-/// (shutdown never drops queued work — a task graph whose pool goes out
-/// of scope mid-run still runs every posted task).
+/// (shutdown never drops queued work).
 class ThreadPool {
  public:
   /// `threads == 0` runs every task inline on the posting thread.
@@ -110,8 +61,8 @@ class ThreadPool {
   /// process: the first exception is captured and rethrown from the next
   /// wait_idle() (sticky until cleared), later ones are counted in
   /// failed_count(). On an inline (0-thread) pool the exception
-  /// propagates directly to the poster. Use submit() or TaskGraph when a
-  /// per-task result/exception channel is needed.
+  /// propagates directly to the poster. Use submit() when a per-task
+  /// result/exception channel is needed.
   void post(std::function<void()> task);
 
   /// Schedules `fn` and returns a future carrying its result or exception.

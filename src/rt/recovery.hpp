@@ -12,7 +12,7 @@
 //              through to the CPU rung.
 //   degrade  — retry first; if the device pipeline still cannot finish,
 //              the remaining rows are recomputed on the host
-//              (cpu::compare_blocked_async) and the report is flagged
+//              (cpu::compare_blocked_into) and the report is flagged
 //              `degraded` — slower, never wrong, never silent.
 //
 // Everything here is deterministic: backoff is a pure function of the

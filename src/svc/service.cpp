@@ -562,7 +562,6 @@ struct ServiceEngine::Impl {
       }
 
       ComputeOptions copts;
-      copts.threads = cfg.compute_threads;
       copts.lint = false;  // per-batch lint would spam the serve path
       copts.recovery = batch.requests.front().recovery;
       copts.breaker = cfg.breaker;

@@ -103,12 +103,6 @@ struct ServiceConfig {
   /// at submit()).
   rt::RecoveryOptions recovery;
 
-  /// ComputeOptions::threads for each batch's compare (the CPU engine's
-  /// pool size on a CPU device; simulated devices ignore it). Batches
-  /// themselves execute one at a time, in submission order, for
-  /// deterministic replay.
-  std::size_t compute_threads = 0;
-
   /// Construct paused: the dispatcher holds off until resume() — used by
   /// the scripted CLI driver and the admission-control tests to make
   /// batch formation deterministic.

@@ -58,7 +58,6 @@ ServiceConfig chaos_config(const ChaosCell& cell) {
   cfg.op = Comparison::kXor;
   cfg.max_batch_rows = 4;
   cfg.cache_capacity = 0;
-  cfg.compute_threads = 0;  // every checkpoint on the dispatcher thread
   cfg.recovery.policy = rt::FailPolicy::kRetry;
   cfg.recovery.backoff_base_s = 0.0;
   cfg.start_paused = true;

@@ -57,6 +57,12 @@ TEST(Cli, UnknownCommandAndOptions) {
   const auto bad_opt = run_cli({"gen", "--out", tmp("x"), "--bogus", "1"});
   EXPECT_EQ(bad_opt.code, 1);
   EXPECT_NE(bad_opt.err.find("unknown option"), std::string::npos);
+  // --threads is not an option: the CPU engine has one threading runtime.
+  const auto stale_threads =
+      run_cli({"search", "--queries", tmp("q.sbm"), "--db", tmp("db.sbm"),
+               "--threads", "4"});
+  EXPECT_EQ(stale_threads.code, 1);
+  EXPECT_NE(stale_threads.err.find("unknown option"), std::string::npos);
   const auto bad_val =
       run_cli({"gen", "--out", tmp("x"), "--loci", "abc"});
   EXPECT_EQ(bad_val.code, 1);

@@ -169,20 +169,6 @@ TEST(StaleStorage, DegradeRungAfterAMidStreamFault) {
   EXPECT_TRUE(r.counts == want);
 }
 
-TEST(StaleStorage, CpuContextWithThreadsAccumulatesIntoZeroedStorage) {
-  const EdgeShape s;
-  const CountMatrix want =
-      bits::compare_reference(s.few, s.many, Comparison::kXor);
-  ComputeOptions opts;
-  opts.threads = 2;  // cpu::compare_blocked_async adds every k_c panel
-  const std::uintptr_t stale = release_stale_block(want.rows(), want.cols());
-  Context ctx = Context::cpu();
-  const CountMatrix got =
-      ctx.compare(s.few, s.many, Comparison::kXor, opts).counts;
-  EXPECT_EQ(address(got), stale);
-  EXPECT_TRUE(got == want);
-}
-
 TEST(StaleStorage, MultiGpuMergeTarget) {
   const EdgeShape s;
   const CountMatrix want =
@@ -191,6 +177,22 @@ TEST(StaleStorage, MultiGpuMergeTarget) {
   multi::MultiGpuContext multi("titanv", 3);
   const multi::MultiCompareResult r =
       multi.compare(s.few, s.many, Comparison::kXor);
+  EXPECT_EQ(address(r.counts), stale);
+  EXPECT_TRUE(r.counts == want);
+}
+
+TEST(StaleStorage, MultiGpuMergeTargetWithHostThreads) {
+  // Shards count concurrently on the exec pool and allocate their own
+  // gammas meanwhile; the merge target still overwrites every entry.
+  const EdgeShape s;
+  const CountMatrix want =
+      bits::compare_reference(s.few, s.many, Comparison::kXor);
+  const std::uintptr_t stale = release_stale_block(want.rows(), want.cols());
+  multi::MultiGpuContext multi("titanv", 3);
+  multi::MultiGpuOptions opts;
+  opts.host_threads = 3;
+  const multi::MultiCompareResult r =
+      multi.compare(s.few, s.many, Comparison::kXor, opts);
   EXPECT_EQ(address(r.counts), stale);
   EXPECT_TRUE(r.counts == want);
 }

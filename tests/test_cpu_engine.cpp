@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "bits/compare.hpp"
-#include "exec/thread_pool.hpp"
 #include "io/datagen.hpp"
 
 namespace snp::cpu {
@@ -180,22 +182,60 @@ TEST(CpuEngine, DensityExtremes) {
   }
 }
 
-TEST(CpuEngine, AsyncAgreesWithReferenceAtAnEdgeShape) {
+TEST(CpuEngine, SeveralBlocksAndPanelsAtAnEdgeShape) {
   // Two m_c and two n_c blocks, the last of each ending in a partial
-  // micro-tile, over three k_c panels (more than the two panel
-  // generations in flight).
+  // micro-tile, over three k_c panels: the first panel of every
+  // macro-tile stores into C and the later ones add.
   CpuBlocking blk;
   blk.m_c = 2 * kMr;
   blk.n_c = 2 * kNr;
   blk.k_c = 3;
   const auto a = io::random_bitmatrix(blk.m_c + 3, 500, 0.4, 113);
   const auto b = io::random_bitmatrix(blk.n_c + kNr + 3, 500, 0.6, 114);
-  exec::ThreadPool pool(2);
   for (const auto op :
        {Comparison::kAnd, Comparison::kXor, Comparison::kAndNot}) {
-    EXPECT_TRUE(compare_blocked_async(a, b, op, pool, blk) ==
+    EXPECT_TRUE(compare_blocked(a, b, op, blk) ==
                 bits::compare_reference(a, b, op))
         << bits::to_string(op);
+  }
+}
+
+TEST(CpuEngine, RowFirstMinimaMatchesMinElement) {
+  std::vector<std::size_t> column;
+  std::vector<std::uint32_t> value;
+  EXPECT_THROW(row_first_minima(bits::CountMatrix(2, 0), column, value),
+               std::invalid_argument);
+
+  // 4 x 40 counts scan serially; 4 x 40000 (two and a half scan blocks of
+  // 16384 columns) scan in parallel and merge a row's blocks in order.
+  for (const std::size_t cols : {std::size_t{40}, std::size_t{40000}}) {
+    bits::CountMatrix c(4, cols);
+    for (std::size_t i = 0; i < c.rows(); ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        c.at(i, j) = static_cast<std::uint32_t>(100 + (i * 7 + j * 13) % 50);
+      }
+    }
+    // Row 0: a tie whose first copy sits in a later column block.
+    c.at(0, cols / 2) = 3;
+    c.at(0, cols - 1) = 3;
+    // Row 1: the minimum at column 0 and again at the last column.
+    c.at(1, 0) = 1;
+    c.at(1, cols - 1) = 1;
+    // Row 2: every entry equal.
+    std::fill_n(c.raw().data() + 2 * cols, cols, 9u);
+    // Row 3: the only minimum in the last (ragged) column.
+    c.at(3, cols - 1) = 0;
+
+    row_first_minima(c, column, value);
+    ASSERT_EQ(column.size(), c.rows());
+    ASSERT_EQ(value.size(), c.rows());
+    for (std::size_t i = 0; i < c.rows(); ++i) {
+      const auto row = c.raw().subspan(i * cols, cols);
+      const auto best = std::min_element(row.begin(), row.end());
+      EXPECT_EQ(column[i], static_cast<std::size_t>(best - row.begin()))
+          << "row " << i << " of " << cols << " columns";
+      EXPECT_EQ(value[i], *best) << "row " << i << " of " << cols;
+    }
   }
 }
 

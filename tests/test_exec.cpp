@@ -1,17 +1,17 @@
-// Unit tests for snp::exec — the host-side thread pool, semaphore, and
-// dependency-ordered task graph behind the asynchronous chunk pipeline.
+// Unit tests for snp::exec — the host-side thread pool behind the
+// multi-GPU shards and the query service's batch executor.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <mutex>
+#include <functional>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "exec/task_graph.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace snp::exec {
@@ -129,192 +129,136 @@ TEST(ThreadPool, DestructorDrainsCleanlyPastFailingTasks) {
   EXPECT_EQ(ran.load(), 16);
 }
 
-TEST(Semaphore, BlocksAtZeroUntilReleased) {
-  Semaphore sem(2);
-  sem.acquire();
-  sem.acquire();
-  EXPECT_EQ(sem.available(), 0u);
-
-  std::atomic<bool> acquired{false};
-  std::thread blocked([&] {
-    sem.acquire();  // must block until the release below
-    acquired.store(true);
-  });
-  std::this_thread::sleep_for(2ms);
-  EXPECT_FALSE(acquired.load());
-  sem.release();
-  blocked.join();
-  EXPECT_TRUE(acquired.load());
+TEST(ThreadPool, HardwareThreadsIsAtLeastOne) {
+  EXPECT_GE(ThreadPool::hardware_threads(), 1u);
 }
 
-TEST(TaskGraph, RespectsDependencyOrder) {
-  ThreadPool pool(4);
-  TaskGraph graph(pool);
-  std::mutex mu;
-  std::vector<int> order;
-  const auto record = [&](int tag) {
-    return [&order, &mu, tag] {
-      const std::lock_guard<std::mutex> lock(mu);
-      order.push_back(tag);
-    };
-  };
-  // Diamond: 0 -> {1, 2} -> 3.
-  const auto t0 = graph.add(record(0));
-  const auto t1 = graph.add(record(1), {t0});
-  const auto t2 = graph.add(record(2), {t0});
-  graph.add(record(3), {t1, t2});
-  graph.wait();
-
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order.front(), 0);
-  EXPECT_EQ(order.back(), 3);
-  EXPECT_EQ(graph.completed(), 4u);
-}
-
-TEST(TaskGraph, DrainChainDeliversInOrderUnderParallelism) {
-  // The async compare() idiom: exec tasks run in any order, but drain i
-  // depends on {exec i, drain i-1} and so fires strictly in stream order.
-  ThreadPool pool(4);
-  TaskGraph graph(pool);
-  constexpr std::size_t kChunks = 48;
-  std::vector<std::size_t> delivered;
-  std::mutex mu;
-  TaskGraph::TaskId prev_drain = 0;
-  for (std::size_t i = 0; i < kChunks; ++i) {
-    const auto exec_id = graph.add([i] {
-      if (i % 3 == 0) {
-        std::this_thread::sleep_for(200us);  // jitter the exec order
-      }
-    });
-    std::vector<TaskGraph::TaskId> deps{exec_id};
-    if (i > 0) {
-      deps.push_back(prev_drain);
-    }
-    prev_drain = graph.add(
-        [&delivered, &mu, i] {
-          const std::lock_guard<std::mutex> lock(mu);
-          delivered.push_back(i);
-        },
-        deps);
-  }
-  graph.wait();
-
-  std::vector<std::size_t> expected(kChunks);
-  std::iota(expected.begin(), expected.end(), 0u);
-  EXPECT_EQ(delivered, expected);
-}
-
-TEST(TaskGraph, FirstExceptionPropagatesAndDependentsAreSkipped) {
-  ThreadPool pool(2);
-  TaskGraph graph(pool);
-  std::atomic<int> ran{0};
-  const auto boom = graph.add([] {
-    throw std::runtime_error("chunk 2 failed");
-  });
-  const auto child = graph.add([&ran] { ran.fetch_add(1); }, {boom});
-  graph.add([&ran] { ran.fetch_add(1); }, {child});  // transitive skip
-  graph.add([&ran] { ran.fetch_add(1); });           // independent: runs
-  EXPECT_THROW(graph.wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(graph.completed(), 1u);
-  EXPECT_EQ(graph.skipped(), 2u);
-  // wait() after failure stays terminal and keeps rethrowing.
-  EXPECT_THROW(graph.wait(), std::runtime_error);
-}
-
-TEST(TaskGraph, AddingToAFailedDependencySkipsImmediately) {
+TEST(ThreadPool, SingleWorkerRunsTasksInPostingOrder) {
+  // The service's batch executor relies on FIFO order: one worker runs
+  // batches exactly in the order they were posted.
   ThreadPool pool(1);
-  TaskGraph graph(pool);
-  const auto boom = graph.add([] { throw std::logic_error("early"); });
-  EXPECT_THROW(graph.wait(), std::logic_error);
-  bool ran = false;
-  graph.add([&ran] { ran = true; }, {boom});  // dep already failed
-  EXPECT_THROW(graph.wait(), std::logic_error);
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(graph.skipped(), 1u);
-}
-
-TEST(TaskGraph, SemaphoreBoundsTasksInFlight) {
-  // The producer-side backpressure pattern from compare(): acquire a slot
-  // before adding a chunk, release it from the chunk's final task. At most
-  // `kSlots` chunks may ever be between acquire and release.
-  constexpr std::size_t kSlots = 3;
-  constexpr std::size_t kChunks = 40;
-  ThreadPool pool(4);
-  TaskGraph graph(pool);
-  Semaphore slots(kSlots);
-  std::atomic<std::size_t> in_flight{0};
-  std::atomic<std::size_t> peak{0};
-  for (std::size_t i = 0; i < kChunks; ++i) {
-    slots.acquire();
-    const std::size_t now = in_flight.fetch_add(1) + 1;
-    std::size_t seen = peak.load();
-    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
-    }
-    graph.add([&] {
-      std::this_thread::sleep_for(100us);
-      in_flight.fetch_sub(1);
-      slots.release();
-    });
+  std::vector<int> order;
+  for (int i = 0; i < 50; ++i) {
+    pool.post([&order, i] { order.push_back(i); });
   }
-  graph.wait();
-  EXPECT_EQ(in_flight.load(), 0u);
-  EXPECT_LE(peak.load(), kSlots);
-  EXPECT_GE(peak.load(), 1u);
+  pool.wait_idle();
+  std::vector<int> expected(50);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
 }
 
-TEST(TaskGraph, DestructorQuiescesWithQueuedWork) {
-  std::atomic<int> ran{0};
+TEST(ThreadPool, QueueDepthAndActiveWorkersTrackABlockedWorker) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.active_workers(), 0u);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  pool.post([&started, gate] {
+    started.set_value();
+    gate.wait();
+  });
+  started.get_future().wait();
+  for (int i = 0; i < 3; ++i) {
+    pool.post([] {});
+  }
+  // The worker is held inside the first task, so the rest stay queued.
+  EXPECT_EQ(pool.active_workers(), 1u);
+  EXPECT_EQ(pool.queue_depth(), 3u);
+  release.set_value();
+  pool.wait_idle();
+  EXPECT_EQ(pool.active_workers(), 0u);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+}
+
+TEST(ThreadPool, InlinePoolReportsNoQueueAndNoWorkers) {
+  ThreadPool pool(0);
+  std::size_t depth_inside = 1;
+  std::size_t active_inside = 1;
+  pool.post([&] {
+    depth_inside = pool.queue_depth();
+    active_inside = pool.active_workers();
+  });
+  EXPECT_EQ(depth_inside, 0u);
+  EXPECT_EQ(active_inside, 0u);
+}
+
+TEST(ThreadPool, SubmitExceptionsStayInTheirFuture) {
+  // submit() hands a task's exception to its future only: wait_idle()
+  // and failed_count() belong to post()ed tasks, so a failed shard never
+  // poisons the pool for later callers.
   ThreadPool pool(2);
-  {
-    TaskGraph graph(pool);
-    TaskGraph::TaskId prev = 0;
-    for (int i = 0; i < 32; ++i) {
-      std::vector<TaskGraph::TaskId> deps;
-      if (i > 0) {
-        deps.push_back(prev);
-      }
-      prev = graph.add(
-          [&ran] {
-            std::this_thread::sleep_for(100us);
-            ran.fetch_add(1);
-          },
-          deps);
-    }
-    // No wait(): the destructor must block until the chain finishes.
-  }
-  EXPECT_EQ(ran.load(), 32);
+  auto bad = pool.submit([]() -> int { throw std::runtime_error("shard"); });
+  auto ok = pool.submit([] { return 1; });
+  EXPECT_NO_THROW(pool.wait_idle());
+  EXPECT_EQ(pool.failed_count(), 0u);
+  EXPECT_THROW(bad.get(), std::runtime_error);
+  EXPECT_EQ(ok.get(), 1);
 }
 
-TEST(TaskGraph, StressHundredsOfTinyTasksWithRandomDeps) {
+TEST(ThreadPool, SubmitRunsEveryShardExactlyOnce) {
+  // The multi-GPU idiom: one submit() per shard, then get() every future.
   for (const std::size_t threads :
-       {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    TaskGraph graph(pool);
-    constexpr std::size_t kTasks = 600;
-    std::atomic<std::size_t> ran{0};
-    std::vector<TaskGraph::TaskId> ids;
-    ids.reserve(kTasks);
-    std::uint64_t rng = 12345;
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      std::vector<TaskGraph::TaskId> deps;
-      if (!ids.empty()) {
-        // Up to two pseudo-random earlier tasks as dependencies.
-        for (int d = 0; d < 2; ++d) {
-          rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-          if (rng % 3 != 0) {
-            deps.push_back(ids[(rng >> 33) % ids.size()]);
-          }
-        }
+       {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
+    constexpr std::size_t kShards = 37;
+    std::vector<int> hits(kShards, 0);  // one slot per shard: no sharing
+    {
+      ThreadPool pool(threads);
+      std::vector<std::future<std::size_t>> done;
+      for (std::size_t d = 0; d < kShards; ++d) {
+        done.push_back(pool.submit([&hits, d] {
+          ++hits[d];
+          return d * d;
+        }));
       }
-      ids.push_back(graph.add([&ran] { ran.fetch_add(1); }, deps));
+      for (std::size_t d = 0; d < kShards; ++d) {
+        EXPECT_EQ(done[d].get(), d * d) << threads << " threads";
+      }
     }
-    graph.wait();
-    EXPECT_EQ(ran.load(), kTasks) << threads << " threads";
-    EXPECT_EQ(graph.added(), kTasks);
-    EXPECT_EQ(graph.completed(), kTasks);
-    EXPECT_EQ(graph.skipped(), 0u);
+    for (std::size_t d = 0; d < kShards; ++d) {
+      EXPECT_EQ(hits[d], 1) << "shard " << d << ", " << threads
+                                   << " threads";
+    }
   }
+}
+
+TEST(ThreadPool, WaitIdleCoversTasksPostedByTasks) {
+  // A task posts its follow-up before it finishes, so the queue is never
+  // empty while the chain is live and wait_idle() sees all of it.
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  std::function<void(int)> step = [&](int left) {
+    ran.fetch_add(1);
+    if (left > 0) {
+      pool.post([&step, left] { step(left - 1); });
+    }
+  };
+  pool.post([&step] { step(9); });
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 10);
+}
+
+TEST(ThreadPool, WorkersRunTasksConcurrently) {
+  // Two tasks that each wait for the other can only both finish if two
+  // workers run them at the same time (bounded, so a serial pool fails
+  // instead of hanging).
+  ThreadPool pool(2);
+  std::atomic<int> arrived{0};
+  const auto meet = [&arrived] {
+    arrived.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (arrived.load() < 2) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        return false;
+      }
+      std::this_thread::sleep_for(100us);
+    }
+    return true;
+  };
+  auto first = pool.submit(meet);
+  auto second = pool.submit(meet);
+  EXPECT_TRUE(first.get());
+  EXPECT_TRUE(second.get());
 }
 
 }  // namespace

@@ -94,23 +94,6 @@ TEST(FaultSoak, EverySiteEveryPolicyRecovers) {
   }
 }
 
-TEST(FaultSoak, AsyncPipelineRecoversToo) {
-  const Workload w;
-  const CountMatrix expected = clean_baseline(w);
-  for (const std::string site : {"launch", "pool", "h2d"}) {
-    for (int seed = 0; seed < 10; ++seed) {
-      rt::ScopedFaultPlan plan(rt::FaultPlan::parse(
-          site + ":p=0.1:seed=" + std::to_string(seed)));
-      ComputeOptions opts = soak_options(rt::FailPolicy::kDegrade);
-      opts.threads = 3;
-      Context ctx = Context::gpu("titanv");
-      const auto r = ctx.compare(w.a, w.b, Comparison::kXor, opts);
-      ASSERT_TRUE(r.counts == expected)
-          << "site=" << site << " seed=" << seed;
-    }
-  }
-}
-
 TEST(FaultSoak, SameSeedReplaysTheSameRecoverySequence) {
   const Workload w;
   auto run = [&] {
@@ -262,6 +245,29 @@ TEST(FaultSoak, MultiGpuSoakStaysBitIdentical) {
       const auto r = mg.compare(a, b, Comparison::kAnd, opts);
       ASSERT_TRUE(r.counts == expected)
           << "policy=" << rt::to_string(policy) << " seed=" << seed;
+    }
+  }
+}
+
+TEST(FaultSoak, MultiGpuHostThreadsRecoverToo) {
+  // Shards run concurrently on the exec pool, so faults at the pipeline
+  // sites fire from several host threads at once; every seed must still
+  // merge to the clean single-device counts.
+  const auto a = io::random_bitmatrix(5, 192, 0.4, 4407);
+  const auto b = io::random_bitmatrix(240, 192, 0.5, 4408);
+  Context single = Context::gpu("titanv");
+  const auto expected = single.compare(a, b, Comparison::kXor).counts;
+  for (const std::string site : {"launch", "pool", "h2d"}) {
+    for (int seed = 0; seed < 10; ++seed) {
+      rt::ScopedFaultPlan plan(rt::FaultPlan::parse(
+          site + ":p=0.1:seed=" + std::to_string(seed)));
+      multi::MultiGpuContext mg("titanv", 3);
+      multi::MultiGpuOptions opts;
+      opts.per_device = soak_options(rt::FailPolicy::kDegrade);
+      opts.host_threads = 3;
+      const auto r = mg.compare(a, b, Comparison::kXor, opts);
+      ASSERT_TRUE(r.counts == expected)
+          << "site=" << site << " seed=" << seed;
     }
   }
 }

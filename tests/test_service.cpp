@@ -822,9 +822,9 @@ TEST(ServiceRobustness, BrownoutShedsLowestClassFirstAndReports) {
 /// (fired from deadline checkpoints inside the compare pipeline) and at
 /// launch, the per-request outcome sequence — rows for successes, stable
 /// SNPRT codes for failures — must be bit-identical across two runs of
-/// every seed. compute_threads=0 keeps every checkpoint on the
-/// dispatcher thread, so injector ordinals are a pure function of the
-/// seed (probes and refills are ordinal-driven, never wall-clock).
+/// every seed. Every checkpoint runs on the dispatcher thread, so
+/// injector ordinals are a pure function of the seed (probes and
+/// refills are ordinal-driven, never wall-clock).
 TEST(ServiceSoak, DeadlineFaultSoakIsBitIdenticalAcrossSeeds) {
   const BitMatrix db = io::random_bitmatrix(23, 192, 0.5, 771);
   const BitMatrix queries = io::random_bitmatrix(8, 192, 0.4, 772);

@@ -9,11 +9,11 @@
 #      must be blocked with exit 3 + their SNP-BOUND-*/SNP-OVF-* IDs,
 #      and a reduced-seed mutation soak must be failure-free.
 #   2. ASan/UBSan build + tier-1 tests.
-#   3. TSan build + the concurrency-heavy suites (exec scheduler,
-#      async-vs-serial conformance, the obs metrics/span registry, the
-#      fault-injection soak, and the multi-client service-engine
-#      soak) — OpenMP is compiled out under TSan, so
-#      every data race the thread-pool pipeline could introduce is
+#   3. TSan build + the concurrency-heavy suites (exec thread pool, the
+#      obs metrics/span registry, the fault-injection soak, and the
+#      multi-client service-engine soak) — OpenMP is compiled out under
+#      TSan, so every data race the thread pool behind the multi-GPU
+#      shards and the service's batch executor could introduce is
 #      visible to the tool.
 #
 # The release stage also runs a fault-injection smoke: an injected
@@ -55,17 +55,18 @@ fi
 ./build/tools/snpcmp gendb --out "$smoke/db.sbm" --profiles 200 --snps 256 >/dev/null
 ./build/tools/snpcmp gendb --out "$smoke/q.sbm" --profiles 4 --snps 256 >/dev/null
 ./build/tools/snpcmp search --queries "$smoke/q.sbm" --db "$smoke/db.sbm" \
-  --threads 4 --metrics-out "$smoke/m.json" --trace-out "$smoke/t.json" >/dev/null
+  --metrics-out "$smoke/m.json" --trace-out "$smoke/t.json" >/dev/null
 # Simulated devices deliver chunks on the calling thread; the exec pool
-# runs on the CPU device, where --threads sizes the engine's pool.
-./build/tools/snpcmp search --queries "$smoke/q.sbm" --db "$smoke/db.sbm" \
-  --device cpu --threads 4 --metrics-out "$smoke/m_cpu.json" >/dev/null
-python3 - "$smoke/m.json" "$smoke/t.json" "$smoke/m_cpu.json" <<'EOF'
+# is the service's batch executor.
+printf '{"submit": 0}\n{"submit": 1, "count": 2}\n' > "$smoke/pool.jsonl"
+./build/tools/snpcmp serve --db "$smoke/db.sbm" --queries "$smoke/q.sbm" \
+  --script "$smoke/pool.jsonl" --metrics-out "$smoke/m_pool.json" >/dev/null
+python3 - "$smoke/m.json" "$smoke/t.json" "$smoke/m_pool.json" <<'EOF'
 import json, sys
 metrics = json.load(open(sys.argv[1]))
 assert metrics["counters"]["core.compare.chunks"] > 0, "no chunk counters"
-cpu_metrics = json.load(open(sys.argv[3]))
-assert "exec.pool.queue_depth" in cpu_metrics["gauge_peaks"], "no pool gauges"
+pool_metrics = json.load(open(sys.argv[3]))
+assert "exec.pool.queue_depth" in pool_metrics["gauge_peaks"], "no pool gauges"
 trace = json.load(open(sys.argv[2]))
 pids = {ev["pid"] for ev in trace}
 assert {1, 2} <= pids, f"merged trace missing host tracks: {pids}"
@@ -312,13 +313,12 @@ cmake --build --preset asan -j "$jobs"
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-asan -L tier1 --output-on-failure -j "$jobs"
 
-echo "== TSan build + exec/conformance/obs/fault/service tests =="
+echo "== TSan build + exec/obs/fault/service tests =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs" \
-  --target test_exec test_async_conformance test_obs test_fault_injection \
+  --target test_exec test_obs test_fault_injection \
            test_service test_chaos test_flight test_tracing
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_exec
-TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_async_conformance
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_obs
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_fault_injection
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_service
